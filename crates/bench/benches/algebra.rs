@@ -1,21 +1,21 @@
 //! E20 — the mapping algebra as a benchmark: maximum-recovery
 //! construction, forward containment, and reverse containment, with the
-//! executor counters (chase tasks, hom-cache hits/misses) carried into
-//! the BENCH JSON so cache behaviour stays observable.
+//! executor task counts carried into the BENCH JSON.
 
 use qi_bench::{measure, Record};
 use qi_core::{
-    mapping_contains_with_stats, maximum_recovery_with_stats, reverse_contains_with_stats,
+    mapping_contains_with_exec, maximum_recovery_with_stats, reverse_contains_with_exec,
     QuasiInverseOptions, SchemaMapping,
 };
-use qi_exec::{set_global_threads, Budget};
+use qi_exec::{ExecConfig, Parallelism};
 use qi_workloads::families::{decomposition_k, union_n};
 use std::time::Duration;
 
 const MIN_TIME: Duration = Duration::from_millis(200);
 const MIN_ITERS: u32 = 3;
 
-/// Worker counts swept by the containment benches (0 = auto).
+/// Worker counts swept by the containment benches (capped at the CPU
+/// count).
 const THREAD_SWEEP: [usize; 2] = [1, 4];
 
 fn bench_maximum_recovery() {
@@ -37,8 +37,6 @@ fn bench_maximum_recovery() {
             .int("param", k as u64)
             .int("deps", deps as u64)
             .int("tasks", st.tasks)
-            .int("cache_hits", st.hom_cache_hits)
-            .int("cache_misses", st.hom_cache_misses)
             .sample(s)
             .emit();
     }
@@ -57,10 +55,10 @@ fn bench_forward_containment() {
         )
         .expect("prefix of a valid mapping stays valid");
         for threads in THREAD_SWEEP {
-            set_global_threads(threads);
+            let exec = ExecConfig::auto().with_parallelism(Parallelism::fixed(threads));
             let mut stats = None;
             let s = measure(MIN_ITERS, MIN_TIME, || {
-                let (v, st) = mapping_contains_with_stats(&weak, &strong, &Budget::unlimited())
+                let (v, st) = mapping_contains_with_exec(&weak, &strong, &exec)
                     .expect("bench containment must succeed");
                 assert!(v.holds());
                 stats = Some(st);
@@ -74,7 +72,6 @@ fn bench_forward_containment() {
                 .sample(s)
                 .emit();
         }
-        set_global_threads(0);
     }
 }
 
@@ -88,10 +85,10 @@ fn bench_reverse_containment() {
         let (rev, _) = maximum_recovery_with_stats(&m, &QuasiInverseOptions::default())
             .expect("bench recovery must succeed");
         for threads in THREAD_SWEEP {
-            set_global_threads(threads);
+            let exec = ExecConfig::auto().with_parallelism(Parallelism::fixed(threads));
             let mut stats = None;
             let s = measure(MIN_ITERS, MIN_TIME, || {
-                let (v, st) = reverse_contains_with_stats(&rev, &rev, &Budget::unlimited())
+                let (v, st) = reverse_contains_with_exec(&rev, &rev, &exec)
                     .expect("bench reverse containment must succeed");
                 assert!(v.holds());
                 stats = Some(st);
@@ -106,7 +103,6 @@ fn bench_reverse_containment() {
                 .sample(s)
                 .emit();
         }
-        set_global_threads(0);
     }
 }
 

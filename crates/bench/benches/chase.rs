@@ -10,7 +10,7 @@ use qi_chase::{
     chase, chase_oblivious, chase_with_options, chase_with_target_deps_stats, ChaseOptions,
     ChaseStrategy, ExchangeSetting, TargetChaseOptions, TargetChaseResult,
 };
-use qi_exec::Parallelism;
+use qi_exec::{ExecConfig, Parallelism, Planning};
 use qi_lang::parse_tgd;
 use qi_schema::{Instance, Schema};
 use qi_workloads::families::{
@@ -113,6 +113,15 @@ fn nine_tgd_mapping() -> qi_core::SchemaMapping {
     qi_core::SchemaMapping::parse("A1/2 A2/2 A3/2", &targets.join(" "), &tgd_refs).unwrap()
 }
 
+/// Chase options running `threads` workers under `planning`.
+fn sweep_options(threads: usize, planning: Planning) -> ChaseOptions {
+    ChaseOptions::with_exec(
+        ExecConfig::default()
+            .with_parallelism(Parallelism::fixed(threads))
+            .with_planning(planning),
+    )
+}
+
 fn bench_thread_sweep() {
     // Sequential vs parallel trigger enumeration with planning OFF — the
     // historical scheduling, kept as the ablation baseline for the
@@ -121,12 +130,11 @@ fn bench_thread_sweep() {
     // tests/determinism.rs).
     let m = nine_tgd_mapping();
     let i = join3_instance(&m, 60);
-    qi_schema::set_planning_override(Some(false));
-    let baseline = chase(&m.tgds, &i, &m.target).unwrap().instance;
+    let baseline = chase_with_options(&m.tgds, &i, &m.target, sweep_options(1, Planning::Off))
+        .unwrap()
+        .instance;
     for threads in THREAD_SWEEP {
-        let options = ChaseOptions {
-            exec: qi_exec::ExecConfig::default().with_parallelism(Parallelism::fixed(threads)),
-        };
+        let options = sweep_options(threads, Planning::Off);
         let out = chase_with_options(&m.tgds, &i, &m.target, options.clone()).unwrap();
         assert_eq!(out.instance, baseline, "parallel chase must be exact");
         let s = measure(MIN_ITERS, MIN_TIME, || {
@@ -144,7 +152,6 @@ fn bench_thread_sweep() {
             .sample(s)
             .emit();
     }
-    qi_schema::set_planning_override(None);
 }
 
 fn bench_planned_sweep() {
@@ -156,14 +163,12 @@ fn bench_planned_sweep() {
     // fails loudly on a scheduling regression.
     let m = nine_tgd_mapping();
     let i = join3_instance(&m, 60);
-    qi_schema::set_planning_override(Some(false));
-    let unplanned = chase(&m.tgds, &i, &m.target).unwrap().instance;
-    qi_schema::set_planning_override(Some(true));
+    let unplanned = chase_with_options(&m.tgds, &i, &m.target, sweep_options(1, Planning::Off))
+        .unwrap()
+        .instance;
     let mut means = Vec::new();
     for threads in THREAD_SWEEP {
-        let options = ChaseOptions {
-            exec: qi_exec::ExecConfig::default().with_parallelism(Parallelism::fixed(threads)),
-        };
+        let options = sweep_options(threads, Planning::On);
         let out = chase_with_options(&m.tgds, &i, &m.target, options.clone()).unwrap();
         assert_eq!(out.instance, unplanned, "planned chase must be exact");
         let s = measure(MIN_ITERS, MIN_TIME, || {
@@ -185,7 +190,6 @@ fn bench_planned_sweep() {
             .sample(s)
             .emit();
     }
-    qi_schema::set_planning_override(None);
     let at = |t: usize| {
         means
             .iter()

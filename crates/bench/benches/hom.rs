@@ -8,19 +8,16 @@
 //!   null-chain length `k`: the shape closure-style mappings produce,
 //!   where one endomorphism folds a whole chain onto its constant
 //!   anchor. The two cores are checked isomorphic at every point.
-//! * `hom/quasi-inverse-cache` — the full QuasiInverse pipeline (MinGen
-//!   coverage + Step-3 subsumption + disjunct minimization) with the
-//!   shared [`HomCache`] on vs off, emitting the hit/miss counters; the
-//!   reverse mappings are asserted identical, since cached answers are
-//!   pure.
+//! * `hom/equivalence-classes` — partitioning null-renamed chase outputs
+//!   into hom-equivalence classes with and without a [`HomCache`]; the
+//!   classes are asserted identical, since cached answers are pure.
 
 use qi_bench::{chase_or_panic, measure, Record};
-use qi_core::{quasi_inverse_with_stats, QuasiInverseOptions, SchemaMapping};
+use qi_core::SchemaMapping;
 use qi_schema::{
     core_of_greedy, core_of_with_stats, hom_equivalent, is_isomorphic, HomCache, Instance, NullId,
     Value,
 };
-use qi_workloads::families::decomposition_k;
 use std::time::Duration;
 
 const MIN_TIME: Duration = Duration::from_millis(200);
@@ -93,38 +90,6 @@ fn bench_core_chase_output() {
     }
 }
 
-fn bench_quasi_inverse_cache() {
-    for k in [2usize, 3] {
-        let m = decomposition_k(k);
-        let mut results = Vec::new();
-        for cached in [false, true] {
-            let options = QuasiInverseOptions {
-                mingen: qi_core::MinGenOptions {
-                    hom_cache: cached,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            let (rev, stats) = quasi_inverse_with_stats(&m, &options).unwrap();
-            results.push(rev);
-            let s = measure(MIN_ITERS, MIN_TIME, || {
-                quasi_inverse_with_stats(&m, &options).unwrap()
-            });
-            Record::new("hom/quasi-inverse-cache")
-                .int("param", k as u64)
-                .int("cached", cached as u64)
-                .int("cache_hits", stats.hom_cache_hits)
-                .int("cache_misses", stats.hom_cache_misses)
-                .sample(s)
-                .emit();
-        }
-        assert_eq!(
-            results[0].deps, results[1].deps,
-            "the cache must not change the reverse mapping at k={k}"
-        );
-    }
-}
-
 /// A copy of `u` with every null id shifted — `hom_equivalent` to `u`,
 /// and fingerprint-identical after canonical renaming.
 fn rename_nulls(u: &Instance, shift: u64) -> Instance {
@@ -190,6 +155,5 @@ fn bench_equivalence_classes() {
 
 fn main() {
     bench_core_chase_output();
-    bench_quasi_inverse_cache();
     bench_equivalence_classes();
 }

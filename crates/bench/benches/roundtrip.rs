@@ -10,7 +10,7 @@
 
 use qi_bench::{measure, Record};
 use qi_core::{quasi_inverse, round_trip, QuasiInverseOptions};
-use qi_exec::{par_map, Parallelism};
+use qi_exec::{par_map, Budget, CostHint, Parallelism};
 use qi_workloads::families::decomposition_instance;
 use qi_workloads::paper;
 use std::time::Duration;
@@ -70,11 +70,18 @@ fn bench_parallel_verification() {
         ("parallel", Parallelism::default()),
     ] {
         let s = measure(MIN_ITERS, MIN_TIME, || {
-            let ok = par_map(parallelism, &instances, |i| {
-                round_trip(&m, &rev, i, Default::default())
-                    .unwrap()
-                    .is_faithful()
-            });
+            let (ok, _) = par_map(
+                parallelism,
+                &instances,
+                &Budget::unlimited(),
+                CostHint::none(),
+                |i| {
+                    round_trip(&m, &rev, i, Default::default())
+                        .unwrap()
+                        .is_faithful()
+                },
+            )
+            .unwrap();
             assert!(ok.into_iter().all(|b| b));
         });
         Record::new("roundtrip/batch-verification")

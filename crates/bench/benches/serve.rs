@@ -87,7 +87,7 @@ fn main() {
         .collect();
 
     for clients in [1usize, 4] {
-        // Warm caches (hom cache, planner) with one untimed pass.
+        // Warm up with one untimed pass.
         drive(addr, &pool[..pool.len().min(32)]);
         let mut slices: Vec<Vec<ServeRequest>> = (0..clients).map(|_| Vec::new()).collect();
         for (i, req) in pool.iter().enumerate() {

@@ -53,7 +53,7 @@ use crate::target::{
     derive_step_budget, run_rounds, ExchangeSetting, RoundsCfg, RoundsEnd, TargetChaseResult,
     TargetChaseStats,
 };
-use qi_exec::{par_map_budgeted_hinted, ExecConfig, ExecStats};
+use qi_exec::{par_map, ExecConfig, ExecStats};
 use qi_schema::{
     planning_enabled_for, Diff, Fact, HomCache, Instance, MatchConstraints, MatchEngine, PatTerm,
     RelId, Schema, Value,
@@ -299,7 +299,7 @@ pub fn chase_delta(
     }
     let constraints = MatchConstraints::default();
     let hint = enumeration_hint(&st_compiled, &source, planned);
-    let (results, stats) = par_map_budgeted_hinted(
+    let (results, stats) = par_map(
         opts.exec.parallelism,
         &tasks,
         budget,

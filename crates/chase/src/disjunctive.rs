@@ -18,7 +18,7 @@
 use crate::error::{ChaseError, ChasePartial};
 use crate::standard::absorb_match_counters;
 use crate::strategy::ChaseStrategy;
-use qi_exec::{par_map_budgeted_hinted, CostHint, ExecConfig, ExecStats};
+use qi_exec::{par_map, CostHint, ExecConfig, ExecStats};
 use qi_lang::{compile_atoms, DisjTgd, Var};
 use qi_schema::{
     planning_enabled_for, Instance, MatchConstraints, MatchCounters, MatchEngine, PatTerm, Pattern,
@@ -345,7 +345,7 @@ pub fn disjunctive_chase_with_stats(
         // pure function of the node's immutable instance. Semi-naive
         // nodes resume the probe after the parent's fired trigger.
         let hint = probe_hint(triggers.len(), planned);
-        let wave = par_map_budgeted_hinted(
+        let wave = par_map(
             options.exec.parallelism,
             &open,
             budget,

@@ -24,7 +24,7 @@
 //! null already present.
 
 use crate::error::{ChaseError, ChasePartial};
-use qi_exec::{par_map_budgeted_hinted, CostHint, ExecConfig, ExecStats};
+use qi_exec::{par_map, CostHint, ExecConfig, ExecStats};
 use qi_lang::{compile_atoms, Tgd, Var};
 use qi_schema::{
     plan_pattern, planning_enabled_for, Instance, MatchConstraints, MatchCounters, MatchEngine,
@@ -41,10 +41,9 @@ pub struct ChaseOptions {
     /// cooperative resource budget — checked between executor tasks and
     /// between trigger firings; derived facts are charged as they are
     /// inserted. Budget exhaustion surfaces as [`ChaseError::Resource`]
-    /// with the partial target instance. Fixed settings here never
-    /// consult the process-wide `set_global_threads` /
-    /// `set_planning_override` shims, so concurrent chases with
-    /// different configurations are isolated from each other.
+    /// with the partial target instance. There is no process-wide
+    /// execution state, so concurrent chases with different
+    /// configurations are isolated from each other.
     pub exec: ExecConfig,
 }
 
@@ -123,9 +122,8 @@ pub(crate) const NS_PER_EST_UNIT: u64 = 500;
 
 /// Per-task [`CostHint`] for a trigger-enumeration fan-out over
 /// `compiled` bodies: the mean planned cost estimate against `instance`,
-/// converted to nanoseconds. No hint when planning is disabled (the
-/// *resolved* per-request mode, not the process global), so the
-/// unplanned path keeps the historical scheduling exactly.
+/// converted to nanoseconds. No hint when the resolved per-request
+/// planning mode is off: there are no plan estimates to size from.
 pub(crate) fn enumeration_hint(
     compiled: &[CompiledTgd],
     instance: &Instance,
@@ -326,22 +324,20 @@ pub(crate) fn run_st(
     // come back in tgd order, making the commit phase below identical to
     // the sequential chase.
     let constraints = MatchConstraints::default();
-    // Resolve the per-request planning mode once at entry; explicit
-    // On/Off never consult the process-wide gate.
+    // Resolve the per-request planning mode once at entry.
     let planned = planning_enabled_for(options.exec.planning);
     let budget = &options.exec.budget;
     let hint = enumeration_hint(&compiled, source, planned);
-    let (all_matches, stats) =
-        par_map_budgeted_hinted(options.exec.parallelism, &compiled, budget, hint, |c| {
-            let engine = MatchEngine::new(&c.body, source, &constraints).with_planning(planned);
-            let matches: Vec<Vec<Value>> = engine
-                .all()
-                .iter()
-                .map(|a| (0..c.n_body_vars as u32).map(|i| a.value(i)).collect())
-                .collect();
-            (matches, engine.counters())
-        })
-        .map_err(|e| ChaseError::resource(e, ExecStats::default(), ChasePartial::None))?;
+    let (all_matches, stats) = par_map(options.exec.parallelism, &compiled, budget, hint, |c| {
+        let engine = MatchEngine::new(&c.body, source, &constraints).with_planning(planned);
+        let matches: Vec<Vec<Value>> = engine
+            .all()
+            .iter()
+            .map(|a| (0..c.n_body_vars as u32).map(|i| a.value(i)).collect())
+            .collect();
+        (matches, engine.counters())
+    })
+    .map_err(|e| ChaseError::resource(e, ExecStats::default(), ChasePartial::None))?;
     let mut stats = stats;
     if let Some(log) = log {
         *log = all_matches.iter().map(|(m, _)| m.clone()).collect();

@@ -24,7 +24,7 @@ use crate::standard::{
 };
 use crate::strategy::ChaseStrategy;
 use qi_analyze::DependencyGraph;
-use qi_exec::{par_map_budgeted_hinted, Exceeded, ExecConfig, ExecStats};
+use qi_exec::{par_map, Exceeded, ExecConfig, ExecStats};
 use qi_lang::{compile_atoms, Egd, Tgd, Var};
 use qi_schema::{
     planning_enabled_for, Instance, MatchConstraints, MatchEngine, Pattern, Schema, Value,
@@ -148,7 +148,7 @@ fn enumerate_round(
     let constraints = MatchConstraints::default();
     let planned = cfg.planned;
     let hint = enumeration_hint(compiled, current, planned);
-    let (results, stats) = par_map_budgeted_hinted(
+    let (results, stats) = par_map(
         cfg.exec.parallelism,
         &tasks,
         &cfg.exec.budget,
@@ -376,8 +376,7 @@ pub(crate) struct RoundsCfg<'a> {
     pub(crate) compiled: &'a [CompiledTgd],
     /// Target egds.
     pub(crate) egds: &'a [Egd],
-    /// The per-request planning mode of `exec`, resolved once at entry
-    /// (explicit modes never consult the process-wide gate).
+    /// The per-request planning mode of `exec`, resolved once at entry.
     pub(crate) planned: bool,
     /// Execution configuration: fan-out for per-round trigger
     /// enumeration and the cooperative resource budget (checked per

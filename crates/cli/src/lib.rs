@@ -358,7 +358,8 @@ pub fn cmd_check(mapping_text: &str) -> Result<String, CliError> {
         .sum();
     if tuples <= 8 {
         let universe = ground_instances(&m.source, &["a", "b"], tuples);
-        let q = is_quasi_inverse_bounded(m, &qi, &universe).map_err(|e| err(e.to_string()))?;
+        let q = is_quasi_inverse_bounded(m, &qi, &universe, &Budget::unlimited())
+            .map_err(|e| err(e.to_string()))?;
         let _ = writeln!(
             out,
             "bounded quasi-inverse check ({} instances): {}",
@@ -366,7 +367,8 @@ pub fn cmd_check(mapping_text: &str) -> Result<String, CliError> {
             if q.holds { "holds" } else { "FAILS" }
         );
         if let Some(inv) = inverse(m).map_err(|e| err(e.to_string()))? {
-            let r = is_inverse_bounded(m, &inv, &universe).map_err(|e| err(e.to_string()))?;
+            let r = is_inverse_bounded(m, &inv, &universe, &Budget::unlimited())
+                .map_err(|e| err(e.to_string()))?;
             let _ = writeln!(
                 out,
                 "bounded inverse check ({} instances):       {}",
@@ -404,9 +406,8 @@ pub fn cmd_check(mapping_text: &str) -> Result<String, CliError> {
 }
 
 /// `qimap quasi-inverse`: run Algorithm QuasiInverse and print the
-/// result. With `--stats`, append the aggregated MinGen search counters,
-/// including the homomorphism-cache hit/miss counts and — when a budget
-/// flag is set — the budget outcome counters.
+/// result. With `--stats`, append the aggregated MinGen search counters
+/// and — when a budget flag is set — the budget outcome counters.
 pub fn cmd_quasi_inverse(
     mapping_text: &str,
     stats: bool,
@@ -419,7 +420,7 @@ pub fn cmd_quasi_inverse(
 /// [`cmd_quasi_inverse`] over an already-parsed [`MappingFile`] — the
 /// serve registry's fast path. Output is byte-identical to the one-shot
 /// command; the returned [`qi_exec::ExecStats`] feed the `/metrics`
-/// aggregates (hom-cache hit rates in particular).
+/// aggregates.
 pub fn quasi_inverse_loaded(
     mf: &MappingFile,
     stats: bool,
@@ -436,11 +437,7 @@ pub fn quasi_inverse_loaded(
         return Ok((rev.to_string(), s));
     }
     let mut out = rev.to_string();
-    let _ = writeln!(
-        out,
-        "stats: {} chase task(s), hom cache {} hit(s) / {} miss(es)",
-        s.tasks, s.hom_cache_hits, s.hom_cache_misses
-    );
+    let _ = writeln!(out, "stats: {} chase task(s)", s.tasks);
     let _ = writeln!(
         out,
         "plan stats: {} plan(s) applied, {} prefilter hit(s), {} morsel(s) dispatched",
@@ -714,8 +711,8 @@ fn json_str(s: &str) -> String {
 
 /// `qimap recover`: compute a maximum recovery of the mapping (total for
 /// every s-t tgd mapping — no invertibility precondition) and print its
-/// disjunctive tgds as text or JSON. With `--stats`, append the MinGen /
-/// hom-cache counters and — under a budget flag — the charged totals.
+/// disjunctive tgds as text or JSON. With `--stats`, append the MinGen
+/// counters and — under a budget flag — the charged totals.
 pub fn cmd_recover(
     mapping_text: &str,
     json: bool,
@@ -748,14 +745,9 @@ pub fn recover_loaded(
         if stats {
             let _ = write!(
                 out,
-                ",\"stats\":{{\"tasks\":{},\"hom_cache_hits\":{},\"hom_cache_misses\":{},\
-                 \"plans_applied\":{},\"prefilter_hits\":{},\"morsels\":{}}}",
-                s.tasks,
-                s.hom_cache_hits,
-                s.hom_cache_misses,
-                s.plans_applied,
-                s.prefilter_hits,
-                s.morsels
+                ",\"stats\":{{\"tasks\":{},\"plans_applied\":{},\"prefilter_hits\":{},\
+                 \"morsels\":{}}}",
+                s.tasks, s.plans_applied, s.prefilter_hits, s.morsels
             );
         }
         out.push_str("}\n");
@@ -763,11 +755,7 @@ pub fn recover_loaded(
     }
     let mut out = rev.to_string();
     if stats {
-        let _ = writeln!(
-            out,
-            "stats: {} chase task(s), hom cache {} hit(s) / {} miss(es)",
-            s.tasks, s.hom_cache_hits, s.hom_cache_misses
-        );
+        let _ = writeln!(out, "stats: {} chase task(s)", s.tasks);
         let _ = writeln!(
             out,
             "plan stats: {} plan(s) applied, {} prefilter hit(s), {} morsel(s) dispatched",
@@ -895,11 +883,10 @@ pub fn contains_texts(
 /// search stops at the next cooperative checkpoint and the message names
 /// the tripped limit and the counters.
 ///
-/// The config is *per invocation*: nothing here writes the process-wide
-/// overrides ([`qi_exec::set_global_threads`] /
-/// [`qi_schema::set_planning_override`]), so concurrent invocations in
-/// one process — the `serve` sessions — never observe each other's
-/// settings.
+/// The config is *per invocation* and there is no process-wide
+/// execution state, so concurrent invocations in one process — the
+/// `serve` sessions — never observe each other's settings. `--threads N`
+/// runs at most the CPU count.
 fn apply_exec_flags(args: &[String]) -> Result<(Vec<String>, ExecConfig), CliError> {
     let mut rest = Vec::with_capacity(args.len());
     let mut exec = ExecConfig::auto();
@@ -984,7 +971,7 @@ pub fn run(
         None => false,
     };
     // Global `--stats`: `chase` appends the solution's core and the
-    // core-computation counters, `quasi-inverse` the MinGen/hom-cache
+    // core-computation counters, `quasi-inverse` and `recover` the MinGen
     // counters; the other commands ignore it.
     let stats = match args.iter().position(|a| a == "--stats") {
         Some(i) => {
@@ -1129,7 +1116,7 @@ tgd: P(x,y,z) -> Q(x,y) & R(y,z)
         let plain = cmd_quasi_inverse(DECOMP, false, &ExecConfig::default()).unwrap();
         let with = cmd_quasi_inverse(DECOMP, true, &ExecConfig::default()).unwrap();
         assert!(with.starts_with(&plain), "stats must only append lines");
-        assert!(with.contains("hom cache"), "{with}");
+        assert!(with.contains("chase task(s)"), "{with}");
         // chase --stats: the chase result is ground, so the core equals
         // it and the counters record that nothing needed folding.
         let proj = "source: P/2\ntarget: Q/1\ntgd: P(x,y) -> Q(x)\n";
@@ -1143,7 +1130,7 @@ tgd: P(x,y,z) -> Q(x,y) & R(y,z)
             loader,
         )
         .unwrap();
-        assert!(out.contains("hom cache"), "{out}");
+        assert!(out.contains("chase task(s)"), "{out}");
     }
 
     #[test]
@@ -1195,7 +1182,7 @@ tgd: P(x,y,z) -> Q(x,y) & R(y,z)
         );
         let with = cmd_recover(proj, false, true, &ExecConfig::default()).unwrap();
         assert!(with.starts_with(&out), "stats must only append lines");
-        assert!(with.contains("hom cache"), "{with}");
+        assert!(with.contains("chase task(s)"), "{with}");
         let js = cmd_recover(proj, true, false, &ExecConfig::default()).unwrap();
         assert!(js.contains("\"maximum-recovery\""), "{js}");
         assert!(js.contains("\"deps\""), "{js}");
@@ -1412,9 +1399,8 @@ tgd: P(x,y,z) -> Q(x,y) & R(y,z)
     fn threads_flag_is_per_invocation_and_output_invariant() {
         let loader = |_: &str| Ok(DECOMP.to_owned());
         let baseline = run(&["chase".into(), "m.qim".into(), "P(a,b,c)".into()], loader).unwrap();
-        // The flag builds a per-invocation ExecConfig — no process-wide
-        // override is written, so no reset between cases is needed (or
-        // possible to forget).
+        // The flag builds a per-invocation ExecConfig, so no reset
+        // between cases is needed.
         for argv in [
             vec![
                 "--threads".to_owned(),
@@ -1455,7 +1441,7 @@ tgd: P(x,y,z) -> Q(x,y) & R(y,z)
     }
 
     #[test]
-    fn exec_flags_build_one_config_without_touching_globals() {
+    fn exec_flags_build_one_config() {
         let (rest, exec) = apply_exec_flags(&[
             "--threads=3".to_owned(),
             "chase".to_owned(),
@@ -1470,9 +1456,6 @@ tgd: P(x,y,z) -> Q(x,y) & R(y,z)
         assert_eq!(exec.parallelism, Parallelism::fixed(3));
         assert_eq!(exec.planning, Planning::Off);
         assert!(!exec.budget.is_unlimited());
-        // A fixed setting resolves to itself regardless of the global
-        // override — the per-invocation isolation contract.
-        assert_eq!(exec.parallelism.resolve(), 3);
     }
 
     /// Fuzz-ish sweep: every handler reachable from user input, fed

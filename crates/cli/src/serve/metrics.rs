@@ -1,5 +1,5 @@
 //! Per-handler serving metrics: request counters, latency percentiles,
-//! and aggregated executor counters (hom-cache hit rate in particular).
+//! and aggregated executor task counts.
 //!
 //! Samples are kept in a bounded reservoir per handler (the first
 //! `SAMPLE_CAP` latencies — ample for smoke tests and load benches);
@@ -19,8 +19,6 @@ struct HandlerMetrics {
     errors: u64,
     total_us: u64,
     tasks: u64,
-    hom_cache_hits: u64,
-    hom_cache_misses: u64,
     latencies_us: Vec<u64>,
 }
 
@@ -37,15 +35,7 @@ impl Metrics {
     }
 
     /// Record one request against `handler`.
-    pub fn record(
-        &self,
-        handler: &'static str,
-        ok: bool,
-        elapsed_us: u64,
-        tasks: u64,
-        hom_hits: u64,
-        hom_misses: u64,
-    ) {
+    pub fn record(&self, handler: &'static str, ok: bool, elapsed_us: u64, tasks: u64) {
         let mut map = self.inner.lock().expect("metrics lock");
         let h = map.entry(handler).or_default();
         h.requests += 1;
@@ -54,8 +44,6 @@ impl Metrics {
         }
         h.total_us += elapsed_us;
         h.tasks += tasks;
-        h.hom_cache_hits += hom_hits;
-        h.hom_cache_misses += hom_misses;
         if h.latencies_us.len() < SAMPLE_CAP {
             h.latencies_us.push(elapsed_us);
         }
@@ -75,12 +63,6 @@ impl Metrics {
                 let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
                 sorted[rank.min(sorted.len() - 1)]
             };
-            let hom_total = h.hom_cache_hits + h.hom_cache_misses;
-            let hit_rate = if hom_total == 0 {
-                Json::Null
-            } else {
-                Json::Num(h.hom_cache_hits as f64 / hom_total as f64)
-            };
             out.insert(
                 (*name).to_owned(),
                 obj(vec![
@@ -91,9 +73,6 @@ impl Metrics {
                     ("p95_us", Json::Num(pct(95.0) as f64)),
                     ("p99_us", Json::Num(pct(99.0) as f64)),
                     ("tasks", Json::Num(h.tasks as f64)),
-                    ("hom_cache_hits", Json::Num(h.hom_cache_hits as f64)),
-                    ("hom_cache_misses", Json::Num(h.hom_cache_misses as f64)),
-                    ("hom_cache_hit_rate", hit_rate),
                 ]),
             );
         }
@@ -109,9 +88,9 @@ mod tests {
     fn records_and_renders_percentiles() {
         let m = Metrics::new();
         for us in [10u64, 20, 30, 40, 50, 60, 70, 80, 90, 100] {
-            m.record("chase", true, us, 5, 3, 1);
+            m.record("chase", true, us, 5);
         }
-        m.record("chase", false, 1000, 0, 0, 0);
+        m.record("chase", false, 1000, 0);
         let doc = m.render();
         let chase = doc.get("chase").expect("chase handler present");
         assert_eq!(chase.get("requests").and_then(Json::as_u64), Some(11));
@@ -120,22 +99,6 @@ mod tests {
         assert!((50..=60).contains(&p50), "p50 = {p50}");
         let p99 = chase.get("p99_us").and_then(Json::as_u64).unwrap();
         assert_eq!(p99, 1000);
-        assert_eq!(chase.get("hom_cache_hits").and_then(Json::as_u64), Some(30));
-        // Hit rate 30/(30+10) = 0.75.
-        match chase.get("hom_cache_hit_rate") {
-            Some(Json::Num(r)) => assert!((r - 0.75).abs() < 1e-9),
-            other => panic!("expected a number, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn empty_handlers_render_null_hit_rate() {
-        let m = Metrics::new();
-        m.record("list", true, 5, 0, 0, 0);
-        let doc = m.render();
-        assert_eq!(
-            doc.get("list").and_then(|h| h.get("hom_cache_hit_rate")),
-            Some(&Json::Null)
-        );
+        assert_eq!(chase.get("tasks").and_then(Json::as_u64), Some(50));
     }
 }

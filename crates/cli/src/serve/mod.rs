@@ -7,7 +7,8 @@
 //! concurrent clients. Every request carries its own
 //! [`qi_exec::ExecConfig`] — thread count, planner mode, resource
 //! budget — and nothing a request configures can leak into another
-//! session: the process-global overrides are CLI-entry shims only.
+//! session: there is no process-wide execution state. A request's
+//! thread count runs at most the CPU count.
 //!
 //! Outputs are produced by the same `*_loaded` handlers the one-shot
 //! CLI uses, so a served response's `output` field is byte-identical to

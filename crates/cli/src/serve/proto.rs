@@ -242,10 +242,6 @@ pub struct ResponseStats {
     pub elapsed_us: u64,
     /// Executor tasks dispatched.
     pub tasks: u64,
-    /// Hom-cache hits.
-    pub hom_cache_hits: u64,
-    /// Hom-cache misses.
-    pub hom_cache_misses: u64,
 }
 
 impl ResponseStats {
@@ -254,8 +250,6 @@ impl ResponseStats {
         ResponseStats {
             elapsed_us,
             tasks: s.tasks,
-            hom_cache_hits: s.hom_cache_hits,
-            hom_cache_misses: s.hom_cache_misses,
         }
     }
 
@@ -263,8 +257,6 @@ impl ResponseStats {
         obj(vec![
             ("elapsed_us", Json::Num(self.elapsed_us as f64)),
             ("tasks", Json::Num(self.tasks as f64)),
-            ("hom_cache_hits", Json::Num(self.hom_cache_hits as f64)),
-            ("hom_cache_misses", Json::Num(self.hom_cache_misses as f64)),
         ])
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! Every connection gets its own thread; every request carries its own
 //! [`qi_exec::ExecConfig`], so concurrent sessions with different
-//! thread counts, planner modes and budgets are fully isolated — no
-//! handler writes the process-wide overrides. Responses are rendered
+//! thread counts, planner modes and budgets are fully isolated — there
+//! is no process-wide execution state to write. Responses are rendered
 //! completely before a single write, so a client never observes a
 //! partial line; handler panics are caught and surfaced as structured
 //! `internal` errors.
@@ -89,7 +89,7 @@ pub fn start(addr: &str, log: impl FnMut(String) + Send + 'static) -> Result<Ser
         "qimap serve: listening on {local}; default exec: threads={threads}, planning={}; \
          QI_THREADS/QI_PLAN were parsed once at startup — environment changes are ignored \
          until restart; per-request `exec` objects override both",
-        if qi_schema::effective_env_planning() {
+        if qi_schema::planning_enabled() {
             "on"
         } else {
             "off"
@@ -179,7 +179,7 @@ fn serve_ndjson(
 ) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
         match read_line_polling(&mut reader, &mut line, shutdown)? {
@@ -187,7 +187,7 @@ fn serve_ndjson(
             ReadOutcome::ShuttingDown => return Ok(()),
             ReadOutcome::Line => {}
         }
-        let trimmed = line.trim();
+        let trimmed = line.trim_ascii();
         if trimmed.is_empty() {
             continue;
         }
@@ -209,31 +209,30 @@ enum ReadOutcome {
     ShuttingDown,
 }
 
-/// `read_line` under the poll-interval read timeout: keeps partial
-/// lines across timeouts, re-checks the shutdown flag between polls,
-/// and enforces the request size cap.
+/// `read_until` under the poll-interval read timeout: accumulates the
+/// line's raw bytes across timeouts (so a multi-byte character split by
+/// one arrives intact — callers decode the complete line once),
+/// re-checks the shutdown flag between polls, and enforces the request
+/// size cap *while* reading: each read is bounded by what the cap has
+/// left, so a client streaming without a newline is never buffered past
+/// it.
 fn read_line_polling(
     reader: &mut BufReader<TcpStream>,
-    line: &mut String,
+    line: &mut Vec<u8>,
     shutdown: &Arc<AtomicBool>,
 ) -> std::io::Result<ReadOutcome> {
     loop {
-        let mut buf = Vec::new();
-        match reader.read_until(b'\n', &mut buf) {
-            Ok(0) if buf.is_empty() && line.is_empty() => return Ok(ReadOutcome::Closed),
-            Ok(0) => {
-                line.push_str(&String::from_utf8_lossy(&buf));
-                return Ok(ReadOutcome::Line);
-            }
-            Ok(_) => {
-                line.push_str(&String::from_utf8_lossy(&buf));
-                if line.ends_with('\n') {
-                    return Ok(ReadOutcome::Line);
-                }
-                // A timeout can split a line; keep accumulating.
-            }
+        // One byte past the cap, so a line of exactly the cap plus its
+        // newline still fits and anything longer is detected.
+        let room = (MAX_REQUEST_BYTES + 1 - line.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', line) {
+            Ok(0) if line.is_empty() => return Ok(ReadOutcome::Closed),
+            Ok(0) => return Ok(ReadOutcome::Line),
+            Ok(_) if line.ends_with(b"\n") => return Ok(ReadOutcome::Line),
+            // EOF mid-line (the next read returns 0) or the cap reached.
+            Ok(_) => {}
+            // A timeout can split a line; keep accumulating.
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                line.push_str(&String::from_utf8_lossy(&buf));
                 if shutdown.load(Ordering::SeqCst) && line.is_empty() {
                     return Ok(ReadOutcome::ShuttingDown);
                 }
@@ -253,17 +252,23 @@ fn read_line_polling(
 }
 
 /// Decode + dispatch one request line; returns the rendered response
-/// and whether it was a shutdown request.
+/// and whether it was a shutdown request. A line that is not UTF-8 is a
+/// `bad-request`, like any other undecodable request.
 fn dispatch_line(
-    line: &str,
+    line: &[u8],
     registry: &Registry,
     metrics: &Metrics,
     shutdown: &Arc<AtomicBool>,
 ) -> (String, bool) {
-    let req = match Request::decode(line) {
+    let Ok(line) = std::str::from_utf8(line) else {
+        metrics.record("decode", false, 0, 0);
+        let response = err_response(&Json::Null, "bad-request", "request is not valid UTF-8");
+        return (response, false);
+    };
+    let req = match Request::decode(line.trim()) {
         Ok(r) => r,
         Err(ProtoError { kind, message, id }) => {
-            metrics.record("decode", false, 0, 0, 0, 0);
+            metrics.record("decode", false, 0, 0);
             return (err_response(&id, kind, &message), false);
         }
     };
@@ -279,11 +284,8 @@ fn dispatch_line(
     let elapsed_us = start.elapsed().as_micros() as u64;
     match outcome {
         Ok(Ok(HandlerOk { body, stats })) => {
-            let (tasks, hits, misses) = stats
-                .as_ref()
-                .map(|s| (s.tasks, s.hom_cache_hits, s.hom_cache_misses))
-                .unwrap_or_default();
-            metrics.record(label, true, elapsed_us, tasks, hits, misses);
+            let tasks = stats.as_ref().map_or(0, |s| s.tasks);
+            metrics.record(label, true, elapsed_us, tasks);
             let rendered = match body {
                 HandlerBody::Text(out) => {
                     let with_elapsed = stats.map(|mut s| {
@@ -302,11 +304,11 @@ fn dispatch_line(
             (rendered, is_shutdown)
         }
         Ok(Err(e)) => {
-            metrics.record(label, false, elapsed_us, 0, 0, 0);
+            metrics.record(label, false, elapsed_us, 0);
             (err_response(&req.id, "exec", &e.0), is_shutdown)
         }
         Err(panic) => {
-            metrics.record(label, false, elapsed_us, 0, 0, 0);
+            metrics.record(label, false, elapsed_us, 0);
             let msg = panic
                 .downcast_ref::<&str>()
                 .map(|s| (*s).to_owned())
@@ -455,21 +457,24 @@ fn serve_http(
 ) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    // Head: request line + headers, terminated by an empty line.
-    let mut request_line = String::new();
+    // Head: request line + headers, terminated by an empty line. HTTP
+    // heads are ASCII; anything else cannot match a route or a header.
+    let mut request_line = Vec::new();
     if matches!(
         read_line_polling(&mut reader, &mut request_line, shutdown)?,
         ReadOutcome::Closed | ReadOutcome::ShuttingDown
     ) {
         return Ok(());
     }
+    let request_line = String::from_utf8_lossy(&request_line);
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
+        let mut header = Vec::new();
         match read_line_polling(&mut reader, &mut header, shutdown)? {
             ReadOutcome::Closed | ReadOutcome::ShuttingDown => return Ok(()),
             ReadOutcome::Line => {}
         }
+        let header = String::from_utf8_lossy(&header);
         let header = header.trim();
         if header.is_empty() {
             break;
@@ -496,8 +501,7 @@ fn serve_http(
             } else {
                 let mut body = vec![0u8; content_length];
                 read_exact_polling(&mut reader, &mut body, shutdown)?;
-                let text = String::from_utf8_lossy(&body);
-                let (response, _) = dispatch_line(text.trim(), registry, metrics, shutdown);
+                let (response, _) = dispatch_line(&body, registry, metrics, shutdown);
                 ("200 OK", response)
             }
         }

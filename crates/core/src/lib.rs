@@ -89,20 +89,16 @@ pub use lint::{
 pub use mapping::{ReverseMapping, SchemaMapping};
 pub use mingen::{min_gen, min_gen_with_stats, Generator, MinGenOptions, MinGenOutcome};
 pub use quasi_inverse::{
-    minimize_disjuncts, minimize_disjuncts_budgeted, minimize_disjuncts_cached, quasi_inverse,
-    quasi_inverse_full, quasi_inverse_lav, quasi_inverse_lav_with, quasi_inverse_with_stats,
-    QuasiInverseOptions,
+    minimize_disjuncts, quasi_inverse, quasi_inverse_full, quasi_inverse_lav,
+    quasi_inverse_lav_with, quasi_inverse_with_stats, QuasiInverseOptions,
 };
 pub use recovery::{
-    is_maximum_recovery_bounded, is_maximum_recovery_bounded_budgeted, is_recovery_bounded,
-    is_recovery_bounded_budgeted, is_recovery_on, maximum_recovery, maximum_recovery_with_stats,
-    RecoveryReport,
+    is_maximum_recovery_bounded, is_recovery_bounded, is_recovery_on, maximum_recovery,
+    maximum_recovery_with_stats, RecoveryReport,
 };
 pub use sigma_star::sigma_star;
 pub use so_compose::so_compose;
 pub use solutions::{equivalent, solutions_subset};
 pub use verify::{
-    is_inverse_bounded, is_inverse_bounded_budgeted, is_quasi_inverse_bounded,
-    is_quasi_inverse_bounded_budgeted, is_relaxed_inverse_bounded,
-    is_relaxed_inverse_bounded_budgeted, VerifyReport,
+    is_inverse_bounded, is_quasi_inverse_bounded, is_relaxed_inverse_bounded, VerifyReport,
 };

@@ -29,15 +29,13 @@
 use crate::error::{CoreError, CorePartial};
 use crate::mapping::SchemaMapping;
 use qi_chase::is_generator;
-use qi_exec::{par_map_budgeted, Budget, Exceeded, ExecConfig, ExecStats};
+use qi_exec::{par_map, Budget, CostHint, Exceeded, ExecConfig, ExecStats};
 use qi_lang::atom::vars_of;
 use qi_lang::{Atom, Var, VarGen};
 use qi_schema::{
-    ConstId, HomCache, Instance, MatchConstraints, MatchEngine, PatFact, PatTerm, Pattern,
-    ProbeSlot, RelId, Value,
+    ConstId, Instance, MatchConstraints, MatchEngine, PatFact, PatTerm, Pattern, RelId, Value,
 };
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Options bounding the MinGen search.
 #[derive(Clone, Debug)]
@@ -61,12 +59,6 @@ pub struct MinGenOptions {
     /// deadline or cancellation interrupts may vary; the error shape and
     /// the soundness of the partial may not. Unlimited by default.
     pub exec: ExecConfig,
-    /// Memoize coverage and subsumption checks in a [`HomCache`]
-    /// (fingerprint-keyed, so answers are reused across targets that
-    /// differ only by variable renaming). Results are identical either
-    /// way; the cache only changes speed, and its hit/miss counters land
-    /// in [`MinGenOutcome::stats`].
-    pub hom_cache: bool,
 }
 
 impl Default for MinGenOptions {
@@ -75,7 +67,6 @@ impl Default for MinGenOptions {
             max_atoms: None,
             max_candidates: 1_000_000,
             exec: ExecConfig::default(),
-            hom_cache: true,
         }
     }
 }
@@ -185,13 +176,6 @@ impl EncCtx<'_> {
     /// atom counts; the prefix is encoded as an instance once per call
     /// instead of once per found generator. The same encodings drive the
     /// Step 3 minimization sweep in [`min_gen_with_stats`].
-    ///
-    /// With a [`HomCache`], each `(generator pattern, target)` verdict is
-    /// memoized under the generator's probe key: prefixes that differ
-    /// only by `z`-renaming share a fingerprint, so deep enumeration
-    /// re-asks the same coverage questions constantly. Cached booleans
-    /// are pure, so pruning decisions — and hence the candidate stream —
-    /// are identical with and without the cache.
     fn covered(&self, prefix: &[EncAtom], found_pats: &[FoundPat]) -> bool {
         if found_pats.is_empty() {
             return false;
@@ -199,76 +183,24 @@ impl EncCtx<'_> {
         let constraints = MatchConstraints::default();
         // Refutation prefilter: a generator mentioning a relation absent
         // from the prefix cannot map into it — most probes die here, for
-        // the price of a sorted-vec subset test, before any instance,
-        // cache key, or search is paid for.
+        // the price of a sorted-vec subset test, before any instance or
+        // search is paid for.
         let mut prefix_rels: Vec<RelId> = prefix.iter().map(|(r, _)| *r).collect();
         prefix_rels.sort_unstable();
         prefix_rels.dedup();
-        // Both the cache key and the target instance are built lazily: a
-        // prefix whose coverage verdicts are all cached never pays for
-        // either, and the key (the normal form, a bijective z-relabel —
-        // so equal keys imply isomorphic targets, the same soundness
-        // argument as the store fingerprint) is much cheaper to render
-        // than the instance is to build.
-        let mut tkey: Option<Arc<String>> = None;
+        // The target instance is built lazily, once, and only if some
+        // generator survives the prefilter.
         let mut target: Option<Instance> = None;
-        for fp in found_pats {
-            if fp.len > prefix.len()
-                || !fp.rels.iter().all(|r| prefix_rels.binary_search(r).is_ok())
-            {
-                continue;
-            }
-            let hit = match &fp.slot {
-                Some(s) => {
-                    let key = tkey
-                        .get_or_insert_with(|| Arc::new(self.target_key(prefix)))
-                        .clone();
-                    s.probe_keyed(key, || {
-                        let t = target.get_or_insert_with(|| self.as_instance(prefix));
-                        MatchEngine::new(&fp.pattern, t, &constraints)
-                            .with_planning(self.planned)
-                            .exists()
-                    })
-                }
-                None => {
+        found_pats.iter().any(|fp| {
+            fp.len <= prefix.len()
+                && fp.rels.iter().all(|r| prefix_rels.binary_search(r).is_ok())
+                && {
                     let t = target.get_or_insert_with(|| self.as_instance(prefix));
                     MatchEngine::new(&fp.pattern, t, &constraints)
                         .with_planning(self.planned)
                         .exists()
                 }
-            };
-            if hit {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Cache key for `as_instance(atoms)` as a probe target: a compact
-    /// rendering of the normal form. The relabeling is bijective on the
-    /// `z`-codes, so equal keys imply isomorphic instances — sufficient
-    /// for [`ProbeSlot::probe_keyed`]'s contract; isomorphic prefixes
-    /// that normalize differently merely miss.
-    fn target_key(&self, atoms: &[EncAtom]) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        for (rel, args) in self.normal_form(atoms) {
-            let _ = write!(s, "{}(", rel.0);
-            for c in args {
-                let _ = write!(s, "{c},");
-            }
-            s.push(')');
-        }
-        s
-    }
-
-    /// Probe key for a found generator's pattern-vs-instance queries.
-    /// The encoded atoms pin the pattern exactly, and `nx` disambiguates
-    /// codes that are frontier constants in one run but `z`-variables in
-    /// another — required when several MinGen runs share one cache
-    /// (quasi-inverse construction runs one per tgd).
-    fn probe_key(&self, atoms: &[EncAtom]) -> String {
-        format!("mingen|nx={}|{atoms:?}", self.nx)
+        })
     }
 
     /// Safety of the induced tgd: every frontier variable occurs.
@@ -386,18 +318,15 @@ impl EncCtx<'_> {
 }
 
 /// A committed generator in the form every coverage/subsumption check
-/// consumes: atom count (for the cheap length gate), pre-compiled
-/// pattern, and — when a [`HomCache`] is in play — the pre-resolved
-/// [`ProbeSlot`] for that pattern's probe key, so the hot coverage loop
-/// pays one fingerprint lookup per probe instead of re-hashing the key.
-struct FoundPat<'c> {
+/// consumes: atom count (for the cheap length gate) and pre-compiled
+/// pattern.
+struct FoundPat {
     len: usize,
     pattern: Pattern,
     /// Sorted, deduplicated relations of the pattern, for the coverage
     /// prefilter: a hom may send several pattern facts to one target
     /// fact, so only *presence* of each relation is required.
     rels: Vec<RelId>,
-    slot: Option<ProbeSlot<'c>>,
 }
 
 /// One level of the explicit DFS stack: the options for the atom at this
@@ -542,22 +471,6 @@ pub fn min_gen_with_stats(
     x: &[Var],
     options: &MinGenOptions,
 ) -> Result<MinGenOutcome, CoreError> {
-    let local = options.hom_cache.then(HomCache::new);
-    min_gen_cached(m, psi, x, options, local.as_ref())
-}
-
-/// [`min_gen_with_stats`] against a caller-owned [`HomCache`] (or none).
-/// The quasi-inverse construction shares one cache across its per-tgd
-/// MinGen runs and the disjunct-minimization sweep; only the counter
-/// *delta* of this run is charged to the outcome's stats, so a shared
-/// cache never double-counts.
-pub(crate) fn min_gen_cached(
-    m: &SchemaMapping,
-    psi: &[Atom],
-    x: &[Var],
-    options: &MinGenOptions,
-    cache: Option<&HomCache>,
-) -> Result<MinGenOutcome, CoreError> {
     if psi.is_empty() {
         return Err(CoreError::Precondition("ψ must be nonempty".into()));
     }
@@ -602,14 +515,12 @@ pub(crate) fn min_gen_cached(
     let mut enumerator = Enumerator::new(cap);
     let mut tested: BTreeSet<Vec<EncAtom>> = BTreeSet::new();
     let mut found: Vec<Vec<EncAtom>> = Vec::new();
-    // Compiled pattern + probe key per found generator, reused by every
-    // coverage check instead of re-encoding the generator each time.
+    // Compiled pattern per found generator, reused by every coverage
+    // check instead of re-encoding the generator each time.
     let mut found_pats: Vec<FoundPat> = Vec::new();
     let mut out: Vec<Generator> = Vec::new();
     let mut candidates_tested = 0usize;
     let mut stats = ExecStats::default();
-    // Counter snapshot, so a shared cache charges only this run's delta.
-    let (cache_h0, cache_m0) = cache.map(HomCache::counters).unwrap_or((0, 0));
     // Speculation depth: enough work per wave to keep every worker busy.
     // Batching never changes the result (see above), only the amount of
     // possibly-wasted speculative work.
@@ -633,10 +544,16 @@ pub(crate) fn min_gen_cached(
             break;
         }
         // Parallel enumerate: chase-test the whole batch speculatively.
-        let wave = par_map_budgeted(options.exec.parallelism, &batch, budget, |cand| {
-            let gen = ctx.decode(cand);
-            is_generator(&m.tgds, &m.source, &m.target, &gen.atoms, psi, x).map(|ok| (gen, ok))
-        });
+        let wave = par_map(
+            options.exec.parallelism,
+            &batch,
+            budget,
+            CostHint::none(),
+            |cand| {
+                let gen = ctx.decode(cand);
+                is_generator(&m.tgds, &m.source, &m.target, &gen.atoms, psi, x).map(|ok| (gen, ok))
+            },
+        );
         let (verdicts, wave_stats) = match wave {
             Ok(v) => v,
             Err(e) => return Err(CoreError::resource(e, stats, CorePartial::Generators(out))),
@@ -670,7 +587,6 @@ pub(crate) fn min_gen_cached(
                     len: cand.len(),
                     pattern: ctx.as_pattern(cand),
                     rels,
-                    slot: cache.map(|c| c.slot(&ctx.probe_key(cand))),
                 });
                 found.push(cand.clone());
                 out.push(gen);
@@ -684,12 +600,6 @@ pub(crate) fn min_gen_cached(
     // Encode every found generator as pattern and instance once; the
     // O(n²) subsumption sweep below then reuses them pairwise.
     let insts: Vec<Instance> = found.iter().map(|g| ctx.as_instance(g)).collect();
-    // Same key space as the coverage probes (normal forms), so the sweep
-    // reuses verdicts the enumeration already cached for these targets.
-    let inst_keys: Vec<Arc<String>> = match cache {
-        Some(_) => found.iter().map(|g| Arc::new(ctx.target_key(g))).collect(),
-        None => Vec::new(),
-    };
     let constraints = MatchConstraints::default();
     let subsumes = |i: usize, j: usize| -> bool {
         found[i].len() <= found[j].len()
@@ -697,17 +607,9 @@ pub(crate) fn min_gen_cached(
                 .rels
                 .iter()
                 .all(|r| found_pats[j].rels.binary_search(r).is_ok())
-            && {
-                let run = || {
-                    MatchEngine::new(&found_pats[i].pattern, &insts[j], &constraints)
-                        .with_planning(ctx.planned)
-                        .exists()
-                };
-                match &found_pats[i].slot {
-                    Some(s) => s.probe_keyed(Arc::clone(&inst_keys[j]), run),
-                    None => run(),
-                }
-            }
+            && MatchEngine::new(&found_pats[i].pattern, &insts[j], &constraints)
+                .with_planning(ctx.planned)
+                .exists()
     };
     let mut alive = vec![true; n];
     #[allow(clippy::needless_range_loop)] // symmetric double-index over `alive`
@@ -723,11 +625,6 @@ pub(crate) fn min_gen_cached(
                 alive[j] = false;
             }
         }
-    }
-    if let Some(c) = cache {
-        let (h, mi) = c.counters();
-        stats.hom_cache_hits += h - cache_h0;
-        stats.hom_cache_misses += mi - cache_m0;
     }
     Ok(MinGenOutcome {
         generators: out
@@ -813,32 +710,6 @@ mod tests {
         assert!(gens[0].exists.is_empty());
         assert_eq!(gens[1].atoms.len(), 2); // P(x,y,w1) & P(w2,y,z)
         assert_eq!(gens[1].exists.len(), 2);
-    }
-
-    #[test]
-    fn hom_cache_changes_only_the_counters() {
-        let m = SchemaMapping::parse("P/3", "Q/2 R/2", &["P(x,y,z) -> Q(x,y) & R(y,z)"]).unwrap();
-        let psi = atoms(&m.target, &[("Q", &["x", "y"]), ("R", &["y", "z"])]);
-        let x = vec![Var::new("x"), Var::new("y"), Var::new("z")];
-        let cached = min_gen_with_stats(&m, &psi, &x, &MinGenOptions::default()).unwrap();
-        let plain = min_gen_with_stats(
-            &m,
-            &psi,
-            &x,
-            &MinGenOptions {
-                hom_cache: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(cached.generators, plain.generators);
-        assert_eq!(cached.candidates_tested, plain.candidates_tested);
-        assert!(
-            cached.stats.hom_cache_hits > 0,
-            "deep enumeration must revisit fingerprint-equal coverage queries"
-        );
-        assert_eq!(plain.stats.hom_cache_hits, 0);
-        assert_eq!(plain.stats.hom_cache_misses, 0);
     }
 
     #[test]

@@ -23,11 +23,11 @@
 
 use crate::error::{CoreError, CorePartial};
 use crate::mapping::{ReverseMapping, SchemaMapping};
-use crate::mingen::{min_gen_cached, MinGenOptions};
+use crate::mingen::{min_gen_with_stats, MinGenOptions};
 use crate::sigma_star::sigma_star;
 use qi_exec::{Budget, ExecStats};
 use qi_lang::{canonical_instance, compile_atoms, DisjTgd, Disjunct, FrozenVars, Var};
-use qi_schema::{HomCache, MatchConstraints, MatchEngine, Pattern};
+use qi_schema::{MatchConstraints, MatchEngine, Pattern};
 
 /// Options for the QuasiInverse algorithm.
 #[derive(Clone, Debug, Default)]
@@ -77,11 +77,7 @@ pub fn quasi_inverse(
 }
 
 /// [`quasi_inverse`] plus the aggregated executor counters of every
-/// MinGen search it ran — including the hom-cache hit/miss counts. One
-/// [`HomCache`] is shared across all per-tgd MinGen runs: `Σ*`'s
-/// dependencies for one tgd differ only in which frontier variables are
-/// identified, so their searches re-ask many fingerprint-equal coverage
-/// questions.
+/// MinGen search it ran.
 pub fn quasi_inverse_with_stats(
     m: &SchemaMapping,
     options: &QuasiInverseOptions,
@@ -116,12 +112,11 @@ pub fn quasi_inverse_with_stats(
     if mingen_options.exec.budget.is_unlimited() {
         mingen_options.exec.budget = options.exec.budget.clone();
     }
-    let cache = mingen_options.hom_cache.then(HomCache::new);
     let mut stats = ExecStats::default();
     let mut deps: Vec<DisjTgd> = Vec::new();
     for sigma in &star {
         let x = sigma.frontier();
-        let outcome = min_gen_cached(m, &sigma.head, &x, &mingen_options, cache.as_ref())?;
+        let outcome = min_gen_with_stats(m, &sigma.head, &x, &mingen_options)?;
         stats.absorb(&outcome.stats);
         let generators = outcome.generators;
         debug_assert!(
@@ -317,36 +312,15 @@ pub fn quasi_inverse_lav_with(
 /// general disjunct"). Each disjunct is encoded once up front — as a
 /// canonical instance (subsumption target) and as a pattern with the
 /// universal variables pinned (subsumption probe) — and the pairwise
-/// sweep reuses those encodings, memoized through a fresh [`HomCache`]
-/// (see [`minimize_disjuncts_cached`] to share one across dependencies).
-pub fn minimize_disjuncts(dep: &DisjTgd) -> DisjTgd {
-    minimize_disjuncts_cached(dep, &HomCache::new())
-}
-
-/// [`minimize_disjuncts`] against a caller-owned [`HomCache`], so a batch
-/// of dependencies (e.g. every `Σ'`-member of one reverse mapping) can
-/// reuse subsumption verdicts across disjuncts that differ only by
-/// variable renaming. The cache changes speed only, never the output.
-/// Share one cache only across dependencies over the *same* schema pair:
-/// fingerprints and probe keys identify relations by schema-local id.
-pub fn minimize_disjuncts_cached(dep: &DisjTgd, cache: &HomCache) -> DisjTgd {
-    match minimize_disjuncts_budgeted(dep, cache, &Budget::unlimited()) {
-        Ok(d) => d,
-        Err(_) => unreachable!("an unlimited budget never trips"),
-    }
-}
-
-/// [`minimize_disjuncts_cached`] under a cooperative [`Budget`], checked
-/// before every pairwise subsumption probe — the sweep is O(n²) hom
-/// searches, each potentially exponential. Exhaustion surfaces as
+/// sweep reuses those encodings.
+///
+/// The cooperative `budget` is checked before every pairwise
+/// subsumption probe — the sweep is O(n²) hom searches, each
+/// potentially exponential. Exhaustion surfaces as
 /// [`CoreError::Resource`] with no partial: a half-swept dependency
 /// would be logically equivalent but non-canonical, so the caller should
 /// fall back to the unminimized input (which is always sound).
-pub fn minimize_disjuncts_budgeted(
-    dep: &DisjTgd,
-    cache: &HomCache,
-    budget: &Budget,
-) -> Result<DisjTgd, CoreError> {
+pub fn minimize_disjuncts(dep: &DisjTgd, budget: &Budget) -> Result<DisjTgd, CoreError> {
     let limited = !budget.is_unlimited();
     let n = dep.disjuncts.len();
     // Freeze the universal variables once; freeze each disjunct's
@@ -384,19 +358,8 @@ pub fn minimize_disjuncts_budgeted(
             (pattern, constraints)
         })
         .collect();
-    // The probe key renders the compiled pattern and its constraints: two
-    // disjuncts with the same key pose the same query, so sharing entries
-    // is sound; targets dedup by fingerprint. Keys resolve to slots once,
-    // outside the O(n²) sweep.
-    let slots: Vec<_> = probes
-        .iter()
-        .map(|(p, c)| cache.slot(&format!("disj|{p:?}|{c:?}")))
-        .collect();
-    let subsumes = |i: usize, j: usize| -> bool {
-        slots[i].probe(&insts[j], || {
-            MatchEngine::new(&probes[i].0, &insts[j], &probes[i].1).exists()
-        })
-    };
+    let subsumes =
+        |i: usize, j: usize| MatchEngine::new(&probes[i].0, &insts[j], &probes[i].1).exists();
     let mut alive = vec![true; n];
     #[allow(clippy::needless_range_loop)] // symmetric double-index over `alive`
     for i in 0..n {
@@ -485,7 +448,7 @@ mod tests {
         let t = Schema::parse("S/1").unwrap();
         let s = Schema::parse("P/2").unwrap();
         let dep = parse_disj_tgd(&t, &s, "S(x) -> exists z . P(x,z) | P(x,x)").unwrap();
-        let min = minimize_disjuncts(&dep);
+        let min = minimize_disjuncts(&dep, &Budget::unlimited()).unwrap();
         assert_eq!(min.disjuncts.len(), 1);
         assert_eq!(min.to_string(), "S(x) -> exists z . P(x,z)");
     }
@@ -497,7 +460,13 @@ mod tests {
         let t = Schema::parse("S/1").unwrap();
         let s = Schema::parse("P/1 Q/1").unwrap();
         let dep = parse_disj_tgd(&t, &s, "S(x) -> P(x) | Q(x)").unwrap();
-        assert_eq!(minimize_disjuncts(&dep).disjuncts.len(), 2);
+        assert_eq!(
+            minimize_disjuncts(&dep, &Budget::unlimited())
+                .unwrap()
+                .disjuncts
+                .len(),
+            2
+        );
     }
 
     #[test]
@@ -505,38 +474,18 @@ mod tests {
         let t = Schema::parse("S/1").unwrap();
         let s = Schema::parse("P/2").unwrap();
         let dep = parse_disj_tgd(&t, &s, "S(x) -> exists z . P(x,z) | exists w . P(x,w)").unwrap();
-        let min = minimize_disjuncts(&dep);
+        let min = minimize_disjuncts(&dep, &Budget::unlimited()).unwrap();
         assert_eq!(min.disjuncts.len(), 1);
         assert_eq!(min.disjuncts[0].exists, vec![Var::new("z")]);
     }
 
     #[test]
-    fn with_stats_matches_plain_output_and_counts_cache_traffic() {
+    fn with_stats_matches_plain_output() {
         let m = SchemaMapping::parse("P/3", "Q/2 R/2", &["P(x,y,z) -> Q(x,y) & R(y,z)"]).unwrap();
         let (rev, stats) = quasi_inverse_with_stats(&m, &QuasiInverseOptions::default()).unwrap();
         let plain = quasi_inverse(&m, &QuasiInverseOptions::default()).unwrap();
         assert_eq!(rev.deps, plain.deps);
-        assert!(
-            stats.hom_cache_hits > 0,
-            "Σ*'s per-tgd searches share fingerprint-equal coverage queries"
-        );
-    }
-
-    #[test]
-    fn minimize_shared_cache_matches_fresh_cache() {
-        let t = Schema::parse("S/1").unwrap();
-        let s = Schema::parse("P/2").unwrap();
-        let dep = parse_disj_tgd(&t, &s, "S(x) -> exists z . P(x,z) | P(x,x)").unwrap();
-        let shared = HomCache::new();
-        assert_eq!(
-            minimize_disjuncts_cached(&dep, &shared),
-            minimize_disjuncts(&dep)
-        );
-        // A renamed copy of the dependency hits the shared cache.
-        let dep2 = parse_disj_tgd(&t, &s, "S(x) -> exists w . P(x,w) | P(x,x)").unwrap();
-        let (hits_before, _) = shared.counters();
-        assert_eq!(minimize_disjuncts_cached(&dep2, &shared).disjuncts.len(), 1);
-        assert!(shared.counters().0 > hits_before);
+        assert!(stats.tasks > 0, "every MinGen chase test is counted");
     }
 
     #[test]
@@ -545,7 +494,7 @@ mod tests {
             .unwrap();
         let rev = quasi_inverse(&m, &QuasiInverseOptions::default()).unwrap();
         for d in &rev.deps {
-            assert_eq!(minimize_disjuncts(d), *d);
+            assert_eq!(minimize_disjuncts(d, &Budget::unlimited()).unwrap(), *d);
         }
     }
 }

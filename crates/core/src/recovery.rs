@@ -72,7 +72,7 @@ pub fn maximum_recovery(
 }
 
 /// [`maximum_recovery`] plus the aggregated executor counters of the
-/// underlying `Σ*` + MinGen runs (hom-cache traffic included).
+/// underlying `Σ*` + MinGen runs.
 pub fn maximum_recovery_with_stats(
     m: &SchemaMapping,
     options: &QuasiInverseOptions,
@@ -106,19 +106,11 @@ pub struct RecoveryReport {
 /// instance of the universe? The definition quantifies over all ground
 /// instances, so — as with the inverse verifiers of [`crate::verify`] —
 /// a clean report is evidence, while any failure is a conclusive
-/// counterexample (each per-instance check is exact).
+/// counterexample (each per-instance check is exact). The cooperative
+/// `budget` is checked per universe instance and threaded into every
+/// recovery chase, so the sweep is interruptible with a structured
+/// [`CoreError::Resource`].
 pub fn is_recovery_bounded(
-    m: &SchemaMapping,
-    rev: &ReverseMapping,
-    universe: &[Instance],
-) -> Result<RecoveryReport, CoreError> {
-    is_recovery_bounded_budgeted(m, rev, universe, &Budget::unlimited())
-}
-
-/// [`is_recovery_bounded`] under a cooperative [`Budget`]: checked per
-/// universe instance and threaded into every recovery chase, so the
-/// sweep is interruptible with a structured [`CoreError::Resource`].
-pub fn is_recovery_bounded_budgeted(
     m: &SchemaMapping,
     rev: &ReverseMapping,
     universe: &[Instance],
@@ -139,19 +131,10 @@ pub fn is_recovery_bounded_budgeted(
 /// test and the chase-and-hom solution-containment test. A clean report
 /// subsumes [`is_recovery_bounded`] (the diagonal pairs are the
 /// recovery condition); any mismatch pair is a conclusive witness that
-/// `rev` either is not a recovery or admits a non-minimal pair.
+/// `rev` either is not a recovery or admits a non-minimal pair. The
+/// cooperative `budget` is checked per composition-matrix row and
+/// inherited by every chase on both sides of the comparison.
 pub fn is_maximum_recovery_bounded(
-    m: &SchemaMapping,
-    rev: &ReverseMapping,
-    universe: &[Instance],
-) -> Result<VerifyReport, CoreError> {
-    is_maximum_recovery_bounded_budgeted(m, rev, universe, &Budget::unlimited())
-}
-
-/// [`is_maximum_recovery_bounded`] under a cooperative [`Budget`] —
-/// checked per composition-matrix row and inherited by every chase on
-/// both sides of the comparison.
-pub fn is_maximum_recovery_bounded_budgeted(
     m: &SchemaMapping,
     rev: &ReverseMapping,
     universe: &[Instance],
@@ -194,9 +177,9 @@ mod tests {
         let m = SchemaMapping::parse("P/2", "Q/1", &["P(x,y) -> Q(x)"]).unwrap();
         let mr = maximum_recovery(&m, &QuasiInverseOptions::default()).unwrap();
         let universe = ground_instances(&m.source, &["a", "b"], 2);
-        let rec = is_recovery_bounded(&m, &mr, &universe).unwrap();
+        let rec = is_recovery_bounded(&m, &mr, &universe, &Budget::unlimited()).unwrap();
         assert!(rec.holds, "failures: {:?}", rec.failures);
-        let max = is_maximum_recovery_bounded(&m, &mr, &universe).unwrap();
+        let max = is_maximum_recovery_bounded(&m, &mr, &universe, &Budget::unlimited()).unwrap();
         assert!(max.holds, "mismatches: {:?}", max.mismatches);
     }
 
@@ -206,7 +189,7 @@ mod tests {
         let mr = maximum_recovery(&m, &QuasiInverseOptions::default()).unwrap();
         let universe = ground_instances(&m.source, &["a", "b"], 2);
         assert!(
-            is_maximum_recovery_bounded(&m, &mr, &universe)
+            is_maximum_recovery_bounded(&m, &mr, &universe, &Budget::unlimited())
                 .unwrap()
                 .holds
         );
@@ -217,7 +200,7 @@ mod tests {
         let m = SchemaMapping::parse("P/2", "Q/2", &["P(x,y) -> Q(x,y)"]).unwrap();
         let wrong = ReverseMapping::parse(&m, &["Q(x,y) & const(x) & const(y) -> P(y,x)"]).unwrap();
         let universe = ground_instances(&m.source, &["a", "b"], 1);
-        let rec = is_recovery_bounded(&m, &wrong, &universe).unwrap();
+        let rec = is_recovery_bounded(&m, &wrong, &universe, &Budget::unlimited()).unwrap();
         assert!(!rec.holds);
         // The failing instances are exactly the asymmetric ones, and the
         // per-instance exact check agrees index by index.
@@ -228,7 +211,7 @@ mod tests {
             );
         }
         assert!(
-            !is_maximum_recovery_bounded(&m, &wrong, &universe)
+            !is_maximum_recovery_bounded(&m, &wrong, &universe, &Budget::unlimited())
                 .unwrap()
                 .holds
         );
@@ -242,9 +225,9 @@ mod tests {
         let m = SchemaMapping::parse("P/1 Q/1", "S/1", &["P(x) -> S(x)", "Q(x) -> S(x)"]).unwrap();
         let empty = ReverseMapping::new(m.target.clone(), m.source.clone(), vec![]).unwrap();
         let universe = ground_instances(&m.source, &["a"], 2);
-        let rec = is_recovery_bounded(&m, &empty, &universe).unwrap();
+        let rec = is_recovery_bounded(&m, &empty, &universe, &Budget::unlimited()).unwrap();
         assert!(rec.holds);
-        let max = is_maximum_recovery_bounded(&m, &empty, &universe).unwrap();
+        let max = is_maximum_recovery_bounded(&m, &empty, &universe, &Budget::unlimited()).unwrap();
         assert!(!max.holds, "the empty recovery admits non-minimal pairs");
     }
 }

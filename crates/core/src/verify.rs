@@ -100,23 +100,13 @@ pub(crate) fn composition_matrix(
 /// and the two must coincide. With `(=,=)` this is Definition 3.3's
 /// inverse; with `(~M,~M)` Definition 3.8's quasi-inverse; the mixed
 /// combinations realize the intermediate relaxations of §3.
+///
+/// The cooperative `budget` bounds the composition matrix (the
+/// expensive part — one disjunctive chase per universe instance): it is
+/// checked per row and threaded into every chase, so the verification
+/// is interruptible. A trip surfaces as [`CoreError::Resource`]; the
+/// verdict of an under-budget run is identical to an unlimited one.
 pub fn is_relaxed_inverse_bounded(
-    m: &SchemaMapping,
-    rev: &ReverseMapping,
-    rel1: Relation,
-    rel2: Relation,
-    universe: &[Instance],
-) -> Result<VerifyReport, CoreError> {
-    is_relaxed_inverse_bounded_budgeted(m, rev, rel1, rel2, universe, &Budget::unlimited())
-}
-
-/// [`is_relaxed_inverse_bounded`] under a cooperative resource budget:
-/// the composition matrix (the expensive part — one disjunctive chase
-/// per universe instance) checks the budget per row and threads it into
-/// every chase, so the verification is interruptible. A trip surfaces
-/// as [`CoreError::Resource`]; the verdict of an under-budget run is
-/// identical to the unbudgeted one.
-pub fn is_relaxed_inverse_bounded_budgeted(
     m: &SchemaMapping,
     rev: &ReverseMapping,
     rel1: Relation,
@@ -165,23 +155,15 @@ pub fn is_relaxed_inverse_bounded_budgeted(
 
 /// Bounded check of Definition 3.3 with `(~1,~2) = (=,=)`: is `rev` an
 /// inverse of `m` as far as the universe can tell? For every pair,
-/// `I₁ ⊆ I₂` must coincide with `(I₁, I₂) ∈ Inst(M ∘ M')`.
+/// `I₁ ⊆ I₂` must coincide with `(I₁, I₂) ∈ Inst(M ∘ M')`. The budget
+/// is that of [`is_relaxed_inverse_bounded`].
 pub fn is_inverse_bounded(
-    m: &SchemaMapping,
-    rev: &ReverseMapping,
-    universe: &[Instance],
-) -> Result<VerifyReport, CoreError> {
-    is_relaxed_inverse_bounded(m, rev, Relation::Equality, Relation::Equality, universe)
-}
-
-/// [`is_inverse_bounded`] under a cooperative resource budget.
-pub fn is_inverse_bounded_budgeted(
     m: &SchemaMapping,
     rev: &ReverseMapping,
     universe: &[Instance],
     budget: &Budget,
 ) -> Result<VerifyReport, CoreError> {
-    is_relaxed_inverse_bounded_budgeted(
+    is_relaxed_inverse_bounded(
         m,
         rev,
         Relation::Equality,
@@ -192,29 +174,15 @@ pub fn is_inverse_bounded_budgeted(
 }
 
 /// Bounded check of Definition 3.8 (`(~M,~M)`-inverse): is `rev` a
-/// quasi-inverse of `m` as far as the universe can tell?
+/// quasi-inverse of `m` as far as the universe can tell? The budget is
+/// that of [`is_relaxed_inverse_bounded`].
 pub fn is_quasi_inverse_bounded(
-    m: &SchemaMapping,
-    rev: &ReverseMapping,
-    universe: &[Instance],
-) -> Result<VerifyReport, CoreError> {
-    is_relaxed_inverse_bounded(
-        m,
-        rev,
-        Relation::SolutionEquiv,
-        Relation::SolutionEquiv,
-        universe,
-    )
-}
-
-/// [`is_quasi_inverse_bounded`] under a cooperative resource budget.
-pub fn is_quasi_inverse_bounded_budgeted(
     m: &SchemaMapping,
     rev: &ReverseMapping,
     universe: &[Instance],
     budget: &Budget,
 ) -> Result<VerifyReport, CoreError> {
-    is_relaxed_inverse_bounded_budgeted(
+    is_relaxed_inverse_bounded(
         m,
         rev,
         Relation::SolutionEquiv,
@@ -236,10 +204,10 @@ mod tests {
         let m = SchemaMapping::parse("P/2", "Q/1", &["P(x,y) -> Q(x)"]).unwrap();
         let rev = quasi_inverse(&m, &QuasiInverseOptions::default()).unwrap();
         let universe = ground_instances(&m.source, &["a", "b"], 2);
-        let report = is_quasi_inverse_bounded(&m, &rev, &universe).unwrap();
+        let report = is_quasi_inverse_bounded(&m, &rev, &universe, &Budget::unlimited()).unwrap();
         assert!(report.holds, "mismatches: {:?}", report.mismatches);
         // ... but it is NOT an inverse (projection is not invertible).
-        let inv_report = is_inverse_bounded(&m, &rev, &universe).unwrap();
+        let inv_report = is_inverse_bounded(&m, &rev, &universe, &Budget::unlimited()).unwrap();
         assert!(!inv_report.holds);
     }
 
@@ -248,10 +216,10 @@ mod tests {
         let m = SchemaMapping::parse("P/1", "Q/1", &["P(x) -> Q(x)"]).unwrap();
         let rev = inverse(&m).unwrap().unwrap();
         let universe = ground_instances(&m.source, &["a", "b"], 2);
-        let report = is_inverse_bounded(&m, &rev, &universe).unwrap();
+        let report = is_inverse_bounded(&m, &rev, &universe, &Budget::unlimited()).unwrap();
         assert!(report.holds, "mismatches: {:?}", report.mismatches);
         // Every inverse is a quasi-inverse (Proposition 3.7 direction).
-        let q = is_quasi_inverse_bounded(&m, &rev, &universe).unwrap();
+        let q = is_quasi_inverse_bounded(&m, &rev, &universe, &Budget::unlimited()).unwrap();
         assert!(q.holds);
     }
 
@@ -261,7 +229,7 @@ mod tests {
         let m = SchemaMapping::parse("P/2", "Q/2", &["P(x,y) -> Q(x,y)"]).unwrap();
         let rev = ReverseMapping::parse(&m, &["Q(x,y) & const(x) & const(y) -> P(y,x)"]).unwrap();
         let universe = ground_instances(&m.source, &["a", "b"], 1);
-        let report = is_inverse_bounded(&m, &rev, &universe).unwrap();
+        let report = is_inverse_bounded(&m, &rev, &universe, &Budget::unlimited()).unwrap();
         assert!(!report.holds);
     }
 
@@ -270,7 +238,7 @@ mod tests {
         let m = SchemaMapping::parse("P/1 Q/1", "S/1", &["P(x) -> S(x)", "Q(x) -> S(x)"]).unwrap();
         let rev = quasi_inverse(&m, &QuasiInverseOptions::default()).unwrap();
         let universe = ground_instances(&m.source, &["a", "b"], 2);
-        let report = is_quasi_inverse_bounded(&m, &rev, &universe).unwrap();
+        let report = is_quasi_inverse_bounded(&m, &rev, &universe, &Budget::unlimited()).unwrap();
         assert!(report.holds, "mismatches: {:?}", report.mismatches);
     }
 }

@@ -9,6 +9,10 @@
 //!
 //! ## Determinism contract
 //!
+//! [`par_map`] is the executor's single entry point and [`ExecConfig`]
+//! the only way to configure it: there is no process-wide mutable
+//! execution state.
+//!
 //! 1. **Snapshot** — callers hand [`par_map`] an immutable slice of task
 //!    inputs; tasks must not mutate shared state.
 //! 2. **Parallel enumerate** — tasks are pulled off a shared atomic
@@ -22,7 +26,8 @@
 //! no thread spawned. Consequently a parallel run is *bit-identical* to
 //! the sequential run whenever the per-task closure is a pure function of
 //! its input, which `tests/determinism.rs` locks down across thread
-//! counts for every workload.
+//! counts for every workload. Every worker count — fixed, `QI_THREADS`
+//! or auto — is capped at the CPU count.
 //!
 //! ## Resource budgets
 //!
@@ -30,7 +35,7 @@
 //! their time, so the executor also owns the cooperative [`Budget`]: a
 //! wall-clock deadline, caps on executor tasks and derived facts, and an
 //! external cancellation flag, shared by `Arc` across every stage of one
-//! algorithm run. [`par_map_budgeted`] workers re-check the budget
+//! algorithm run. [`par_map`] workers re-check the budget
 //! between tasks and stop pulling work the moment it is exhausted;
 //! higher layers (the chase loops, MinGen's commit phase) add their own
 //! per-round / per-trigger / per-candidate checks. Exhaustion is always
@@ -48,34 +53,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Process-wide default thread count override (0 = unset). Read by
-/// [`Parallelism::resolve`] when the parallelism is `auto`.
-///
-/// This is a **process-entry shim**, not a per-request knob: two
-/// concurrent requests storing different values here race and silently
-/// change each other's schedules. Long-running callers (the `qimap
-/// serve` session layer, oracles running interleaved configurations)
-/// must instead thread an explicit [`ExecConfig`] with a *fixed*
-/// [`Parallelism`] through the options structs — fixed values never
-/// consult this global.
-static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the process-wide default degree of parallelism (`0` clears the
-/// override). Explicit [`Parallelism::fixed`] values always win over
-/// this; it only changes what [`Parallelism::auto`] resolves to.
-///
-/// Intended for one-shot process entry points (benches, test harnesses)
-/// only — see the [`ExecConfig`] docs for why concurrent sessions must
-/// never touch it.
-pub fn set_global_threads(n: usize) {
-    GLOBAL_THREADS.store(n, Ordering::Relaxed);
-}
-
-/// The `QI_THREADS` environment variable, parsed **once** per process.
-/// [`Parallelism::resolve`] is called from hot loops (via
-/// [`Parallelism::is_parallel`]), so re-reading and re-parsing the
-/// environment on every call is measurable; the value cannot change
-/// under a running process in any supported configuration. An unset
+/// The `QI_THREADS` environment variable, parsed **once** per process —
+/// the meaning of [`Parallelism::auto`] for this process. An unset
 /// variable is "no opinion"; `0`, empty, or unparsable values are
 /// rejected with a single warning instead of being silently treated as
 /// auto.
@@ -117,10 +96,12 @@ fn available_threads() -> usize {
 
 /// Degree of parallelism for the deterministic executor.
 ///
-/// `auto` (the default) resolves, in order, to: the process-wide override
-/// of [`set_global_threads`], the `QI_THREADS` environment variable, and
-/// finally `std::thread::available_parallelism()`. `fixed(1)` selects the
-/// exact sequential code path.
+/// `auto` (the default) resolves to the `QI_THREADS` environment
+/// variable, else `std::thread::available_parallelism()`. `fixed(1)`
+/// selects the exact sequential code path. Every source is capped at
+/// the CPU count: threads beyond it only serialize the same work behind
+/// extra spawns, and the cap bounds what an untrusted request's
+/// `threads` field can make one map spawn.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub struct Parallelism {
     /// `None` = auto-detect at resolution time.
@@ -128,12 +109,13 @@ pub struct Parallelism {
 }
 
 impl Parallelism {
-    /// Auto-detect (global override, then `QI_THREADS`, then cores).
+    /// Auto-detect (`QI_THREADS`, then cores).
     pub fn auto() -> Self {
         Parallelism { threads: None }
     }
 
-    /// Exactly `n` worker threads (`n` is clamped up to 1).
+    /// `n` worker threads (`n` is clamped up to 1, and down to the CPU
+    /// count at resolution).
     pub fn fixed(n: usize) -> Self {
         Parallelism {
             threads: Some(NonZeroUsize::new(n.max(1)).expect("clamped")),
@@ -145,50 +127,32 @@ impl Parallelism {
         Parallelism::fixed(1)
     }
 
-    /// The concrete thread count this configuration resolves to now.
+    /// The concrete thread count this configuration resolves to: the
+    /// requested count, capped at `available_parallelism()`.
     ///
     /// The `QI_THREADS` and core-count probes are cached in `OnceLock`s:
     /// this is called in hot loops and must stay cheap.
     pub fn resolve(self) -> usize {
-        if let Some(n) = self.threads {
-            return n.get();
+        let cores = available_threads();
+        match self.threads {
+            Some(n) => n.get(),
+            None => env_threads().unwrap_or(cores),
         }
-        let global = GLOBAL_THREADS.load(Ordering::Relaxed);
-        if global > 0 {
-            return global;
-        }
-        if let Some(n) = env_threads() {
-            return n;
-        }
-        available_threads()
-    }
-
-    /// Does this configuration resolve to more than one worker?
-    pub fn is_parallel(self) -> bool {
-        self.resolve() > 1
-    }
-
-    /// Is this an explicit fixed thread count (as opposed to auto)?
-    /// Fixed configurations never consult the process-wide override or
-    /// the environment — the property the per-request isolation
-    /// regression tests lock down.
-    pub fn is_fixed(self) -> bool {
-        self.threads.is_some()
+        .min(cores)
     }
 }
 
 /// Per-request join-planning mode. `Auto` (the default) follows the
-/// process-wide setting (`QI_PLAN` / `qi_schema::set_planning_override`);
-/// `On`/`Off` are explicit and **never** consult process globals, so two
-/// concurrent requests with different modes cannot race each other.
+/// `QI_PLAN` environment variable (parsed once per process); `On`/`Off`
+/// are explicit.
 ///
 /// Planning never changes rendered results (the plan-invariance oracle
 /// locks byte-identity) — this knob only controls which schedule a
 /// request's match engines run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub enum Planning {
-    /// Follow the process-wide override, then the `QI_PLAN` environment
-    /// variable (parsed once per process), then the default (on).
+    /// Follow the `QI_PLAN` environment variable (parsed once per
+    /// process), else the default (on).
     #[default]
     Auto,
     /// Force cost-based planning on for this request.
@@ -198,16 +162,6 @@ pub enum Planning {
 }
 
 impl Planning {
-    /// Resolve against the process-wide mode `auto_mode` (what `Auto`
-    /// means right now). `On`/`Off` ignore the argument entirely.
-    pub fn resolve_with(self, auto_mode: bool) -> bool {
-        match self {
-            Planning::Auto => auto_mode,
-            Planning::On => true,
-            Planning::Off => false,
-        }
-    }
-
     /// Is this an explicit (non-`Auto`) mode?
     pub fn is_fixed(self) -> bool {
         !matches!(self, Planning::Auto)
@@ -217,18 +171,14 @@ impl Planning {
 /// The complete per-request execution configuration: degree of
 /// parallelism, join-planning mode, and cooperative resource budget.
 ///
-/// Historically the first two lived in process-wide atomics
-/// (`set_global_threads`, `qi_schema::set_planning_override`), which is
-/// a correctness bug for any process running concurrent heterogeneous
-/// requests: request A's `--threads 4` could silently reschedule
-/// request B. `ExecConfig` is the fix — every chase/core options struct
-/// embeds one, the CLI builds one per invocation, and the `qimap serve`
-/// session layer builds one per request, so configurations are isolated
-/// by construction. The globals survive only as process-entry shims for
-/// benches and the `Auto` fallbacks.
+/// This is the only way to configure execution: every chase/core
+/// options struct embeds one, the CLI builds one per invocation, and
+/// the `qimap serve` session layer builds one per request. There is no
+/// process-wide mutable execution state, so concurrent requests with
+/// different configurations are isolated by construction; `Auto`
+/// settings read only the environment, once per process.
 ///
-/// The default is fully automatic and unlimited — byte-for-byte the
-/// historical behavior.
+/// The default is fully automatic and unlimited.
 #[derive(Clone, Debug, Default)]
 pub struct ExecConfig {
     /// Worker fan-out for the deterministic executor. Results are
@@ -449,21 +399,21 @@ impl Budget {
 /// See [`CostHint`].
 pub const MORSEL_TARGET_NS: u64 = 64_000;
 
-/// An optional per-item cost estimate for [`par_map_budgeted_hinted`].
+/// An optional per-item cost estimate for [`par_map`].
 ///
 /// With a hint the executor sizes morsels to `⌈64µs / est⌉` items and
 /// caps the worker fan-out at `total_estimated / (2 × 64µs)` threads, so
 /// tiny task lists never pay for spawns they cannot amortize (the cap
 /// reaching 1 selects the exact sequential code path). Without a hint
-/// (the default) morsels are one item and the fan-out is uncapped —
-/// exactly the historical behavior.
+/// morsels are one item and only the resolved [`Parallelism`] and the
+/// item count bound the fan-out.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct CostHint {
     est_ns_per_item: Option<u64>,
 }
 
 impl CostHint {
-    /// No estimate: single-item morsels, no fan-out cap.
+    /// No estimate: single-item morsels, no work-based fan-out cap.
     pub fn none() -> Self {
         CostHint::default()
     }
@@ -495,42 +445,6 @@ impl CostHint {
             }
             None => usize::MAX,
         }
-    }
-
-    /// Is there an estimate at all? Hinted runs additionally cap their
-    /// fan-out at the machine's parallelism (see
-    /// [`hardware_parallelism`]); unhinted runs keep the historical
-    /// scheduling bit-for-bit.
-    pub fn is_hinted(self) -> bool {
-        self.est_ns_per_item.is_some()
-    }
-}
-
-/// Override for [`hardware_parallelism`] (0 = ask the OS). Oracles and
-/// unit tests set this to force genuine multi-worker morsel claiming on
-/// single-core CI machines, where the hinted scheduler would otherwise
-/// (correctly) collapse every fan-out to the sequential path.
-static HW_PARALLELISM_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Pretend the machine has `n` cores for hinted-scheduling purposes
-/// (`None` restores the real probe). Output never depends on worker
-/// count, so this is a test/bench knob, not a tuning surface.
-pub fn set_hardware_parallelism_override(n: Option<usize>) {
-    HW_PARALLELISM_OVERRIDE.store(n.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The worker-thread count the machine can actually run at once.
-/// Cost-hinted fan-outs never exceed this: on a 1-core host every spawn
-/// is pure overhead (the work serializes anyway), so the morsel
-/// scheduler sizes its pool to the hardware like any morsel-driven
-/// engine. Explicit `Parallelism::fixed(n)` still oversubscribes the
-/// *unhinted* paths, which promise the historical scheduling exactly.
-pub fn hardware_parallelism() -> usize {
-    match HW_PARALLELISM_OVERRIDE.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
     }
 }
 
@@ -567,10 +481,12 @@ pub struct ExecStats {
     pub postings_rebuilt: u64,
     /// Sum of per-round delta sizes consulted by semi-naive rounds.
     pub delta_facts: u64,
-    /// Homomorphism-cache lookups answered without a search (including
-    /// the equal-fingerprint isomorphism shortcut).
+    /// Homomorphism-cache lookups answered without a search. No current
+    /// algorithm charges it (MinGen's probe cache is gone); the field
+    /// stays for readers built against it and is always 0.
     pub hom_cache_hits: u64,
-    /// Homomorphism-cache lookups that had to run the search.
+    /// Homomorphism-cache lookups that had to run the search. Charged by
+    /// no current algorithm, like [`ExecStats::hom_cache_hits`].
     pub hom_cache_misses: u64,
     /// Morsels (batched work claims) dispatched by parallel workers;
     /// 0 on the sequential path, which claims nothing.
@@ -646,71 +562,29 @@ impl ExecStats {
     }
 }
 
-/// Map `f` over `items`, returning results in input order.
+/// Map `f` over `items` under a cooperative [`Budget`], returning the
+/// results in input order plus per-run counters.
 ///
 /// The parallel path fans items out to scoped worker threads through a
 /// shared atomic cursor and scatters the results back by index, so the
-/// output is independent of scheduling. With one resolved thread this is
-/// exactly `items.iter().map(f).collect()`.
-pub fn par_map<I, T, F>(par: Parallelism, items: &[I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    par_map_stats(par, items, f).0
-}
-
-/// [`par_map`] plus per-run counters.
-pub fn par_map_stats<I, T, F>(par: Parallelism, items: &[I], f: F) -> (Vec<T>, ExecStats)
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    match par_map_budgeted(par, items, &Budget::unlimited(), f) {
-        Ok(out) => out,
-        Err(_) => unreachable!("an unlimited budget never trips"),
-    }
-}
-
-/// [`par_map_stats`] under a cooperative [`Budget`]: every worker
-/// re-checks the budget before pulling each task and charges one
+/// output is independent of scheduling. With one worker this is exactly
+/// `items.iter().map(f).collect()`, with no thread spawned.
+///
+/// The fan-out is the resolved [`Parallelism`] (itself capped at the CPU
+/// count), capped again at the item count and at the workers the
+/// [`CostHint`] estimate keeps busy; the calling thread always
+/// participates as worker 0. Workers claim *morsels* of consecutive
+/// items sized by the hint.
+///
+/// Every worker re-checks the budget before each task and charges one
 /// executor task per item executed. When the budget trips, workers stop
 /// pulling, in-flight results are discarded, and the exhaustion reason
 /// is returned — the caller owns whatever partial artifact it was
-/// building around the map.
-///
-/// A call that returns `Ok` is byte-identical to [`par_map_stats`] at
-/// every thread count; with several limits exhausted concurrently the
-/// reported reason follows [`Budget::check`]'s fixed order per worker,
-/// and the first-tripping worker wins.
-pub fn par_map_budgeted<I, T, F>(
-    par: Parallelism,
-    items: &[I],
-    budget: &Budget,
-    f: F,
-) -> Result<(Vec<T>, ExecStats), Exceeded>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    par_map_budgeted_hinted(par, items, budget, CostHint::none(), f)
-}
-
-/// [`par_map_budgeted`] with a [`CostHint`] driving morsel-driven
-/// scheduling: workers claim *batches* of consecutive items sized so
-/// each claim covers ≥ ~64µs of estimated work, and the fan-out is
-/// capped at the number of workers the total estimate keeps busy —
-/// the calling thread always participates as worker 0, so the cap
-/// reaching 1 spawns nothing at all.
-///
-/// Scheduling never changes the output: results still commit in input
-/// order, the per-item claim-then-check budget protocol is preserved
-/// inside each morsel, and a run that completes is byte-identical to
-/// the unhinted, sequential one.
-pub fn par_map_budgeted_hinted<I, T, F>(
+/// building around the map. A call that returns `Ok` is byte-identical
+/// at every thread count and hint; with several limits exhausted
+/// concurrently the reported reason follows [`Budget::check`]'s fixed
+/// order per worker, and the first-tripping worker wins.
+pub fn par_map<I, T, F>(
     par: Parallelism,
     items: &[I],
     budget: &Budget,
@@ -722,20 +596,10 @@ where
     T: Send,
     F: Fn(&I) -> T + Sync,
 {
-    // A hint caps the fan-out twice over: at the workers the estimated
-    // total keeps busy, and at the machine's real parallelism (threads
-    // beyond the core count only serialize the same work with extra
-    // spawns). Unhinted calls skip both caps — historical scheduling.
-    let hw = if hint.is_hinted() {
-        hardware_parallelism()
-    } else {
-        usize::MAX
-    };
     let threads = par
         .resolve()
         .min(items.len())
         .min(hint.useful_workers(items.len()))
-        .min(hw)
         .max(1);
     let unlimited = budget.is_unlimited();
     if threads == 1 {
@@ -854,12 +718,21 @@ where
 mod tests {
     use super::*;
 
+    /// Unbudgeted, unhinted map — the shape most tests exercise.
+    fn map<I: Sync, T: Send>(
+        par: Parallelism,
+        items: &[I],
+        f: impl Fn(&I) -> T + Sync,
+    ) -> (Vec<T>, ExecStats) {
+        par_map(par, items, &Budget::unlimited(), CostHint::none(), f).unwrap()
+    }
+
     #[test]
     fn ordered_results_at_every_thread_count() {
         let items: Vec<u64> = (0..257).collect();
         let expect: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
         for threads in [1usize, 2, 3, 4, 8] {
-            let got = par_map(Parallelism::fixed(threads), &items, |&x| x * x + 1);
+            let (got, _) = map(Parallelism::fixed(threads), &items, |&x| x * x + 1);
             assert_eq!(got, expect, "threads = {threads}");
         }
     }
@@ -867,24 +740,28 @@ mod tests {
     #[test]
     fn empty_and_singleton_inputs() {
         let none: Vec<u32> = Vec::new();
-        assert!(par_map(Parallelism::fixed(4), &none, |&x| x).is_empty());
-        assert_eq!(par_map(Parallelism::fixed(4), &[7u32], |&x| x + 1), vec![8]);
+        assert!(map(Parallelism::fixed(4), &none, |&x| x).0.is_empty());
+        assert_eq!(map(Parallelism::fixed(4), &[7u32], |&x| x + 1).0, vec![8]);
     }
 
     #[test]
     fn stats_account_for_every_task() {
         let items: Vec<u32> = (0..100).collect();
-        let (_, stats) = par_map_stats(Parallelism::fixed(4), &items, |&x| x);
+        let (_, stats) = map(Parallelism::fixed(4), &items, |&x| x);
+        let workers = 4.min(available_threads());
         assert_eq!(stats.tasks, 100);
-        assert!(stats.max_load >= 25, "some worker ran ≥ mean load");
-        assert_eq!(stats.capacity, 4 * stats.max_load);
-        assert_eq!(stats.workers, 4);
+        assert!(
+            stats.max_load >= 100 / workers as u64,
+            "some worker ran ≥ mean load"
+        );
+        assert_eq!(stats.capacity, workers as u64 * stats.max_load);
+        assert_eq!(stats.workers, workers);
         assert!(stats.utilization() > 0.0 && stats.utilization() <= 1.0);
     }
 
     #[test]
     fn sequential_stats() {
-        let (_, stats) = par_map_stats(Parallelism::sequential(), &[1, 2, 3], |&x: &i32| x);
+        let (_, stats) = map(Parallelism::sequential(), &[1, 2, 3], |&x: &i32| x);
         assert_eq!(stats.workers, 1);
         assert_eq!(stats.max_load, 3);
         assert_eq!(stats.capacity, 3);
@@ -892,67 +769,25 @@ mod tests {
     }
 
     #[test]
-    fn fixed_overrides_global() {
-        assert_eq!(Parallelism::fixed(3).resolve(), 3);
+    fn every_source_is_capped_at_the_cpu_count() {
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert!(Parallelism::fixed(4096).resolve() <= cores);
+        assert_eq!(Parallelism::fixed(4096).resolve(), cores);
+        assert!(Parallelism::auto().resolve() <= cores);
+        assert_eq!(Parallelism::fixed(2).resolve(), 2.min(cores));
         assert_eq!(Parallelism::fixed(0).resolve(), 1, "clamped up to 1");
     }
 
     #[test]
-    fn planning_modes_resolve_without_consulting_auto() {
-        assert!(Planning::On.resolve_with(false));
-        assert!(!Planning::Off.resolve_with(true));
-        assert!(Planning::Auto.resolve_with(true));
-        assert!(!Planning::Auto.resolve_with(false));
+    fn planning_modes_report_fixedness() {
         assert!(Planning::On.is_fixed() && Planning::Off.is_fixed());
         assert!(!Planning::Auto.is_fixed());
     }
 
-    /// Regression for the process-global execution-state bug: two
-    /// threads resolving *different* fixed `ExecConfig`s must never
-    /// observe each other's settings, even while a third thread races
-    /// the process-wide override underneath them. Before the
-    /// `ExecConfig` refactor the CLI routed `--threads` through
-    /// `set_global_threads`, so concurrent requests with different
-    /// settings silently rescheduled each other.
-    #[test]
-    fn concurrent_fixed_configs_never_observe_each_other() {
-        let stop = Arc::new(AtomicBool::new(false));
-        std::thread::scope(|scope| {
-            let flip_stop = Arc::clone(&stop);
-            scope.spawn(move || {
-                let mut n = 1usize;
-                while !flip_stop.load(Ordering::Relaxed) {
-                    set_global_threads(n);
-                    n = if n == 1 { 7 } else { 1 };
-                }
-                set_global_threads(0);
-            });
-            let mut handles = Vec::new();
-            for k in [2usize, 3, 5] {
-                handles.push(scope.spawn(move || {
-                    let cfg = ExecConfig::auto().with_parallelism(Parallelism::fixed(k));
-                    for _ in 0..20_000 {
-                        assert_eq!(
-                            cfg.parallelism.resolve(),
-                            k,
-                            "a fixed per-request config observed the racing global"
-                        );
-                        assert!(cfg.parallelism.is_fixed());
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().expect("resolver thread panicked");
-            }
-            stop.store(true, Ordering::Relaxed);
-        });
-        set_global_threads(0);
-    }
-
     #[test]
     fn workers_capped_by_item_count() {
-        let (_, stats) = par_map_stats(Parallelism::fixed(8), &[1, 2], |&x: &i32| x);
-        assert_eq!(stats.workers, 2);
+        let (_, stats) = map(Parallelism::fixed(8), &[1, 2], |&x: &i32| x);
+        assert_eq!(stats.workers, 2.min(available_threads()));
     }
 
     #[test]
@@ -1026,9 +861,6 @@ mod tests {
 
     #[test]
     fn hinted_map_is_byte_identical_and_counts_morsels() {
-        // Force multi-worker claiming even on a 1-core CI host (never
-        // reset: concurrent tests in this module share the knob).
-        set_hardware_parallelism_override(Some(8));
         let items: Vec<u64> = (0..100).collect();
         let expect: Vec<u64> = items.iter().map(|&x| x * 7).collect();
         for (threads, hint) in [
@@ -1038,7 +870,7 @@ mod tests {
             (4, CostHint::per_item_ns(20_000)),
             (8, CostHint::per_item_ns(1)), // cap drops to the sequential path
         ] {
-            let (out, stats) = par_map_budgeted_hinted(
+            let (out, stats) = par_map(
                 Parallelism::fixed(threads),
                 &items,
                 &Budget::unlimited(),
@@ -1060,7 +892,7 @@ mod tests {
             }
         }
         // The tiny-item hint must have collapsed the fan-out entirely.
-        let (_, stats) = par_map_budgeted_hinted(
+        let (_, stats) = par_map(
             Parallelism::fixed(8),
             &items,
             &Budget::unlimited(),
@@ -1073,27 +905,18 @@ mod tests {
 
     #[test]
     fn hinted_map_preserves_budget_protocol() {
-        set_hardware_parallelism_override(Some(8));
         let items: Vec<u64> = (0..64).collect();
         let hint = CostHint::per_item_ns(64_000);
         // A budget of exactly `len` tasks completes at any fan-out.
         let budget = Budget::unlimited().with_max_tasks(64);
-        let (out, _) =
-            par_map_budgeted_hinted(Parallelism::fixed(4), &items, &budget, hint, |&x| x).unwrap();
+        let (out, _) = par_map(Parallelism::fixed(4), &items, &budget, hint, |&x| x).unwrap();
         assert_eq!(out, items);
         // A smaller budget trips with the structured reason.
         let budget = Budget::unlimited().with_max_tasks(10);
-        let err = par_map_budgeted_hinted(Parallelism::fixed(4), &items, &budget, hint, |&x| x)
-            .unwrap_err();
+        let err = par_map(Parallelism::fixed(4), &items, &budget, hint, |&x| x).unwrap_err();
         assert_eq!(err, Exceeded::Tasks);
     }
 
-    /// Regression for the `absorb` per-worker zip bug: a perfectly
-    /// balanced sequential run (100 tasks on 1 worker) absorbed into a
-    /// perfectly balanced 4-way run (3 tasks per worker) must report
-    /// perfect utilization. The old element-wise `per_worker` merge
-    /// credited the sequential run's 100 tasks to worker 0 of the 4-way
-    /// layout and reported ≈ 0.27.
     #[test]
     fn absorb_keeps_utilization_meaningful_across_worker_counts() {
         let mut a = ExecStats {
@@ -1129,29 +952,18 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_budget_is_transparent() {
-        let items: Vec<u64> = (0..64).collect();
-        for threads in [1usize, 4] {
-            let plain = par_map_stats(Parallelism::fixed(threads), &items, |&x| x * 3);
-            let budgeted = par_map_budgeted(
-                Parallelism::fixed(threads),
-                &items,
-                &Budget::unlimited(),
-                |&x| x * 3,
-            )
-            .unwrap();
-            assert_eq!(plain.0, budgeted.0);
-            assert_eq!(plain.1.tasks, budgeted.1.tasks);
-        }
-    }
-
-    #[test]
     fn task_budget_trips_without_panicking() {
         let items: Vec<u64> = (0..1000).collect();
         for threads in [1usize, 4] {
             let budget = Budget::unlimited().with_max_tasks(10);
-            let err =
-                par_map_budgeted(Parallelism::fixed(threads), &items, &budget, |&x| x).unwrap_err();
+            let err = par_map(
+                Parallelism::fixed(threads),
+                &items,
+                &budget,
+                CostHint::none(),
+                |&x| x,
+            )
+            .unwrap_err();
             assert_eq!(err, Exceeded::Tasks, "threads = {threads}");
             assert!(budget.tasks_charged() >= 10);
         }
@@ -1161,7 +973,14 @@ mod tests {
     fn expired_deadline_trips_immediately() {
         let items: Vec<u64> = (0..100).collect();
         let budget = Budget::unlimited().with_deadline(Duration::ZERO);
-        let err = par_map_budgeted(Parallelism::fixed(4), &items, &budget, |&x| x).unwrap_err();
+        let err = par_map(
+            Parallelism::fixed(4),
+            &items,
+            &budget,
+            CostHint::none(),
+            |&x| x,
+        )
+        .unwrap_err();
         assert_eq!(err, Exceeded::Deadline);
     }
 
@@ -1170,12 +989,19 @@ mod tests {
         let flag = Arc::new(AtomicBool::new(false));
         let budget = Budget::unlimited().with_cancel(Arc::clone(&flag));
         let items: Vec<u64> = (0..8).collect();
+        let run = || {
+            par_map(
+                Parallelism::fixed(2),
+                &items,
+                &budget,
+                CostHint::none(),
+                |&x| x,
+            )
+        };
         // Not yet cancelled: behaves like the plain map.
-        let ok = par_map_budgeted(Parallelism::fixed(2), &items, &budget, |&x| x).unwrap();
-        assert_eq!(ok.0, items);
+        assert_eq!(run().unwrap().0, items);
         flag.store(true, Ordering::Relaxed);
-        let err = par_map_budgeted(Parallelism::fixed(2), &items, &budget, |&x| x).unwrap_err();
-        assert_eq!(err, Exceeded::Cancelled);
+        assert_eq!(run().unwrap_err(), Exceeded::Cancelled);
     }
 
     #[test]

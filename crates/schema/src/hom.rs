@@ -274,7 +274,7 @@ impl<'a> MatchEngine<'a> {
         self
     }
 
-    /// Override the process-wide planning mode for this engine (the
+    /// Override the `QI_PLAN` planning mode for this engine (the
     /// plan-invariance oracle compares both settings; parallel fan-out
     /// propagates the parent engine's mode to its private workers).
     pub fn with_planning(mut self, planned: bool) -> Self {
@@ -923,13 +923,20 @@ impl<'a> MatchEngine<'a> {
             // summation order follows component order.
             let (pattern, target, constraints) = (self.pattern, self.target, self.constraints);
             let (planned, statics) = (self.planned, self.static_costs);
-            let results = qi_exec::par_map(qi_exec::Parallelism::auto(), comps, |comp| {
-                let engine = MatchEngine::new(pattern, target, constraints)
-                    .with_planning(planned)
-                    .with_static_costs(statics);
-                let ok = engine.component_exists(&base, comp);
-                (ok, engine.counters())
-            });
+            let (results, _) = qi_exec::par_map(
+                qi_exec::Parallelism::auto(),
+                comps,
+                &qi_exec::Budget::unlimited(),
+                qi_exec::CostHint::none(),
+                |comp| {
+                    let engine = MatchEngine::new(pattern, target, constraints)
+                        .with_planning(planned)
+                        .with_static_costs(statics);
+                    let ok = engine.component_exists(&base, comp);
+                    (ok, engine.counters())
+                },
+            )
+            .expect("an unlimited budget never trips");
             let mut all_ok = true;
             for (ok, counters) in results {
                 all_ok &= ok;

@@ -1,7 +1,7 @@
 //! Cross-algorithm memoization of homomorphism checks.
 //!
-//! Verification workloads (`~M`-equivalence classes, MinGen coverage,
-//! subsumption sweeps, faithfulness matrices) fire hundreds of
+//! Verification workloads (`~M`-equivalence classes, composition and
+//! maximum-recovery matrices, incremental re-chase) fire hundreds of
 //! near-identical `has_hom`/`hom_equivalent` calls, frequently against
 //! the same pair of instances up to null renaming. [`HomCache`] memoizes
 //! the boolean answers, keyed by the canonical instance fingerprints of
@@ -29,70 +29,20 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One probe's answer table, shared between the cache's outer map and any
-/// [`ProbeSlot`] handles pointing at it.
+/// The answer table of one source fingerprint.
 type Slot = Arc<Mutex<HashMap<Arc<String>, bool>>>;
 
 /// Memoized homomorphism checks keyed by canonical fingerprints (module
-/// docs). One cache per algorithm run is the intended scope — MinGen,
-/// disjunct minimization, and verification each create their own, so
-/// memory stays bounded by the run's working set.
+/// docs). One cache per algorithm run is the intended scope —
+/// equivalence-class indexing and each verification matrix create their
+/// own, so memory stays bounded by the run's working set.
 #[derive(Debug, Default)]
 pub struct HomCache {
-    /// `source fingerprint → (target fingerprint → answer)`, used only by
-    /// [`HomCache::has_hom`]. Kept disjoint from `probes`: caller-chosen
-    /// probe keys live in their own map, so no probe key — whatever its
-    /// spelling — can alias a hom answer table.
+    /// `source fingerprint → (target fingerprint → answer)`.
     homs: Mutex<HashMap<String, Slot>>,
-    /// `caller probe key → (target fingerprint → answer)`, used by
-    /// [`HomCache::probe`] / [`HomCache::slot`].
-    probes: Mutex<HashMap<String, Slot>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-}
-
-/// A pre-resolved handle on one probe key's answer table. Hot loops that
-/// ask the same pattern question against many targets (MinGen coverage,
-/// the Step-3 subsumption sweep, disjunct minimization) resolve the key
-/// once via [`HomCache::slot`] and then pay only a fingerprint lookup per
-/// probe — hashing a multi-hundred-byte probe key on every query is
-/// measurable at the millions-of-probes scale MinGen reaches.
-#[derive(Debug)]
-pub struct ProbeSlot<'c> {
-    cache: &'c HomCache,
-    slot: Slot,
-}
-
-impl ProbeSlot<'_> {
-    /// Memoized query against `target`; `run` computes the answer on a
-    /// miss. Same contract as [`HomCache::probe`].
-    pub fn probe(&self, target: &Instance, run: impl FnOnce() -> bool) -> bool {
-        self.probe_keyed(target.store().fingerprint(), run)
-    }
-
-    /// [`ProbeSlot::probe`] with a caller-computed target key. The caller
-    /// must guarantee the fingerprint property within this slot: equal
-    /// keys only for targets the probe cannot distinguish (e.g. a
-    /// canonical rendering that renames nulls bijectively). Lets hot
-    /// paths answer hits without even *constructing* the target instance
-    /// — MinGen coverage keys on the candidate's normal form and builds
-    /// the instance only when a search actually runs.
-    pub fn probe_keyed(&self, target_key: Arc<String>, run: impl FnOnce() -> bool) -> bool {
-        {
-            let m = self.slot.lock().expect("hom cache slot lock");
-            if let Some(&answer) = m.get(&target_key) {
-                self.cache.hits.fetch_add(1, Ordering::Relaxed);
-                return answer;
-            }
-        }
-        // Compute outside the lock (see `HomCache::lookup_or`).
-        let answer = run();
-        self.cache.misses.fetch_add(1, Ordering::Relaxed);
-        let mut m = self.slot.lock().expect("hom cache slot lock");
-        m.insert(target_key, answer);
-        answer
-    }
 }
 
 impl HomCache {
@@ -130,36 +80,29 @@ impl HomCache {
     /// that answers about superseded instance versions stop occupying
     /// memory, while entries over untouched relations stay warm.
     ///
-    /// `has_hom` entries are keyed by fingerprints on both levels: an
-    /// outer key that mentions a changed relation drops its whole
-    /// answer table, otherwise the table's inner keys are scanned.
-    /// Probe tables have caller-chosen outer keys (not fingerprints) —
-    /// only their inner fingerprint keys are scanned. A key that is not
-    /// a fingerprint at all mentions nothing and is kept.
+    /// Entries are keyed by fingerprints on both levels: an outer key
+    /// that mentions a changed relation drops its whole answer table,
+    /// otherwise the table's inner keys are scanned.
     pub fn evict_rels(&self, rels: &[usize]) -> u64 {
         if rels.is_empty() {
             return 0;
         }
         let mut evicted: u64 = 0;
-        {
-            let mut homs = self.homs.lock().expect("hom cache lock");
-            homs.retain(|outer, slot| {
+        self.homs
+            .lock()
+            .expect("hom cache lock")
+            .retain(|outer, slot| {
+                let mut m = slot.lock().expect("hom cache slot lock");
                 if fingerprint_mentions(outer, rels) {
-                    let n = slot.lock().expect("hom cache slot lock").len();
-                    evicted += n.max(1) as u64;
+                    evicted += m.len().max(1) as u64;
                     false
                 } else {
-                    evicted += evict_inner(slot, rels);
+                    let before = m.len();
+                    m.retain(|fp, _| !fingerprint_mentions(fp, rels));
+                    evicted += (before - m.len()) as u64;
                     true
                 }
             });
-        }
-        {
-            let probes = self.probes.lock().expect("hom cache lock");
-            for slot in probes.values() {
-                evicted += evict_inner(slot, rels);
-            }
-        }
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
         evicted
     }
@@ -186,47 +129,16 @@ impl HomCache {
         self.has_hom(a, b) && self.has_hom(b, a)
     }
 
-    /// Memoize an arbitrary boolean pattern-vs-instance query: the caller
-    /// supplies a key identifying the probe side (pattern + constraints,
-    /// e.g. their `Debug` rendering) and the target instance; `run`
-    /// computes the answer on a miss. MinGen coverage, the subsumption
-    /// sweep, and disjunct minimization use this to reuse answers across
-    /// targets that only differ by null renaming. The probe key must
-    /// determine the query up to the target — two different probes must
-    /// never share a key within one cache.
-    pub fn probe(&self, probe_key: &str, target: &Instance, run: impl FnOnce() -> bool) -> bool {
-        self.slot(probe_key).probe(target, run)
-    }
-
-    /// Resolve `probe_key` to its answer table once, for hot loops that
-    /// probe the same key against many targets (see [`ProbeSlot`]).
-    pub fn slot(&self, probe_key: &str) -> ProbeSlot<'_> {
-        ProbeSlot {
-            cache: self,
-            slot: Self::resolve(&self.probes, probe_key),
-        }
-    }
-
-    /// Find or create `key`'s answer table in `map`.
-    fn resolve(map: &Mutex<HashMap<String, Slot>>, key: &str) -> Slot {
-        let mut map = map.lock().expect("hom cache lock");
-        match map.get(key) {
-            Some(s) => Arc::clone(s),
-            None => {
-                let s = Slot::default();
-                map.insert(key.to_owned(), Arc::clone(&s));
-                s
-            }
-        }
-    }
-
     fn lookup_or(&self, outer: &str, inner: Arc<String>, run: impl FnOnce() -> bool) -> bool {
-        let slot = ProbeSlot {
-            cache: self,
-            slot: Self::resolve(&self.homs, outer),
-        };
+        let slot = Arc::clone(
+            self.homs
+                .lock()
+                .expect("hom cache lock")
+                .entry(outer.to_owned())
+                .or_default(),
+        );
         {
-            let m = slot.slot.lock().expect("hom cache slot lock");
+            let m = slot.lock().expect("hom cache slot lock");
             if let Some(&answer) = m.get(&inner) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return answer;
@@ -238,19 +150,11 @@ impl HomCache {
         // boolean, so the double insert is harmless.
         let answer = run();
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut m = slot.slot.lock().expect("hom cache slot lock");
-        m.insert(inner, answer);
+        slot.lock()
+            .expect("hom cache slot lock")
+            .insert(inner, answer);
         answer
     }
-}
-
-/// Evict the inner (fingerprint-keyed) entries of one answer table that
-/// mention any of `rels`.
-fn evict_inner(slot: &Slot, rels: &[usize]) -> u64 {
-    let mut m = slot.lock().expect("hom cache slot lock");
-    let before = m.len();
-    m.retain(|fp, _| !fingerprint_mentions(fp, rels));
-    (before - m.len()) as u64
 }
 
 /// Does a canonical fingerprint (`r0#2:(c1,c2,);r1#1:;…` — see
@@ -331,84 +235,37 @@ mod tests {
         assert_eq!(cache.counters(), (1, 0), "iso shortcut counts as a hit");
     }
 
-    /// Regression: probe keys and `has_hom` fingerprints used to share
-    /// one outer map, with `has_hom` entries stored under `"hom|{fa}"` —
-    /// a caller probe key spelled exactly like that silently shared the
-    /// hom answer table and returned its booleans. The namespaces are
-    /// now disjoint maps, so the forged key must run its own closure.
-    #[test]
-    fn probe_keys_cannot_alias_the_hom_namespace() {
-        let s = Schema::parse("E/2").unwrap();
-        let a = inst(&s, "E(a,N1)");
-        let b = inst(&s, "E(a,b)");
-        let cache = HomCache::new();
-        // Seed the hom namespace: a → b holds and is cached as `true`.
-        assert!(cache.has_hom(&a, &b));
-        // Forge a probe key colliding with the old hom spelling.
-        let forged = format!("hom|{}", a.store().fingerprint());
-        let mut ran = false;
-        let answer = cache.probe(&forged, &b, || {
-            ran = true;
-            false
-        });
-        assert!(ran, "forged probe key must not hit the hom table");
-        assert!(!answer, "probe must report its own closure's answer");
-        // And the probe entry must not poison the hom table either.
-        assert!(cache.has_hom(&a, &b), "hom answer survives the probe");
-    }
-
     #[test]
     fn eviction_is_scoped_to_mentioned_relations() {
         let s = Schema::parse("E/2 F/1").unwrap();
         let cache = HomCache::new();
-        // Seed a hom entry purely over E (rel 0) …
+        // Seed one entry purely over E (rel 0) and one purely over F
+        // (rel 1).
         let a = inst(&s, "E(a,N1) E(N1,N1)");
         let b = inst(&s, "E(a,a)");
         assert!(cache.has_hom(&a, &b));
-        // … and a probe entry whose target lives purely in F (rel 1).
-        let t = inst(&s, "F(N2)");
-        assert!(cache.probe("k", &t, || true));
+        let f = inst(&s, "F(N2) F(N3)");
+        let g = inst(&s, "F(c)");
+        assert!(cache.has_hom(&f, &g));
         let (_, misses) = cache.counters();
 
-        // Evicting F must keep the E-scoped hom entry warm …
-        assert_eq!(cache.evict_rels(&[1]), 1, "only the probe entry goes");
+        // Evicting F must keep the E-scoped entry warm …
+        assert_eq!(cache.evict_rels(&[1]), 1, "only the F entry goes");
         assert!(cache.has_hom(&a, &b));
-        assert_eq!(cache.counters().1, misses, "hom entry still cached");
-        // … but the probe over F must rerun.
-        let mut reran = false;
-        assert!(cache.probe("k", &t, || {
-            reran = true;
-            true
-        }));
-        assert!(reran, "F-scoped probe entry was evicted");
+        assert_eq!(cache.counters().1, misses, "E entry still cached");
+        // … but the F query must rerun.
+        assert!(cache.has_hom(&f, &g));
+        assert_eq!(cache.counters().1, misses + 1, "F entry was evicted");
 
-        // Now evict E: the hom entry goes, the refreshed probe stays.
-        assert!(cache.evict_rels(&[0]) >= 1);
+        // Now evict E: the E entry goes, the refreshed F entry stays.
+        assert_eq!(cache.evict_rels(&[0]), 1);
         let misses_before = cache.counters().1;
+        assert!(cache.has_hom(&f, &g));
         assert!(cache.has_hom(&a, &b));
-        assert!(cache.counters().1 > misses_before, "hom entry was evicted");
-        assert!(cache.evictions() >= 2);
+        assert_eq!(cache.counters().1, misses_before + 1, "only E reran");
+        assert_eq!(cache.evictions(), 2);
 
         // Empty scope is a no-op.
         assert_eq!(cache.evict_rels(&[]), 0);
-    }
-
-    #[test]
-    fn probe_memoizes_by_target_fingerprint() {
-        let s = Schema::parse("E/2").unwrap();
-        let t1 = inst(&s, "E(a,N1)");
-        let t2 = inst(&s, "E(a,N4)"); // same fingerprint as t1
-        let cache = HomCache::new();
-        let mut runs = 0;
-        let mut ask = |t: &Instance| {
-            cache.probe("my-pattern", t, || {
-                runs += 1;
-                true
-            })
-        };
-        assert!(ask(&t1));
-        assert!(ask(&t2));
-        assert_eq!(runs, 1, "renamed target must be served from cache");
-        assert_eq!(cache.counters(), (1, 1));
     }
 }

@@ -51,13 +51,12 @@ pub use hom::{
     find_hom, has_hom, hom_equivalent, hom_refuted_quick, Assignment, MatchConstraints,
     MatchCounters, MatchEngine, PatFact, PatTerm, Pattern, VarIdx,
 };
-pub use homcache::{HomCache, ProbeSlot};
+pub use homcache::HomCache;
 pub use instance::Instance;
 pub use iso::is_isomorphic;
 pub use plan::{
-    atom_var_sets, build_prefilter, effective_env_planning, greedy_order, plan_pattern,
-    planning_enabled, planning_enabled_for, set_planning_override, JoinPlan, Prefilter,
-    StaticCosts,
+    atom_var_sets, build_prefilter, greedy_order, plan_pattern, planning_enabled,
+    planning_enabled_for, JoinPlan, Prefilter, StaticCosts,
 };
 pub use schema::{RelId, RelSym, Schema};
 pub use store::{Change, ChangeEntry, FactStore, TupleId};

@@ -25,37 +25,22 @@
 //! it at), so it is safe on every path, including ordered enumeration.
 //!
 //! The `QI_PLAN` environment variable (parsed once; `0`, `off`, `false`
-//! disable) switches planning off globally for differential testing;
-//! [`set_planning_override`] takes precedence over the environment so
-//! in-process oracles can compare both modes.
+//! disable) is what [`Planning::Auto`] means for the process; explicit
+//! `Planning::On`/`Off` in a request's `ExecConfig` are how in-process
+//! oracles compare both modes.
 
 use crate::hom::{PatTerm, Pattern, VarIdx};
 use crate::store::FactStore;
 use qi_exec::Planning;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// Process-wide planning override: 0 = follow the environment,
-/// 1 = force on, 2 = force off. Set by [`set_planning_override`].
-static PLAN_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Force planning on (`Some(true)`), off (`Some(false)`), or return
-/// control to the `QI_PLAN` environment variable (`None`). Used by the
-/// plan-invariance oracle to compare planned and source-order execution
-/// within one process; engines capture the mode at construction time.
-pub fn set_planning_override(enabled: Option<bool>) {
-    let code = match enabled {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    };
-    PLAN_OVERRIDE.store(code, Ordering::Relaxed);
-}
-
-/// The `QI_PLAN` environment variable, parsed once per process (engines
-/// consult this at construction, which sits on hot trigger-check paths).
-/// Unset means planning is on; `0`, `off`, `false`, or `no` disable it.
-fn env_planning() -> bool {
+/// Is cost-based planning (join reordering + prefilters) enabled for
+/// [`Planning::Auto`]? This is the `QI_PLAN` environment variable,
+/// parsed once per process (engines consult it at construction, which
+/// sits on hot trigger-check paths): unset means on; `0`, `off`,
+/// `false`, or `no` disable it. Changing `QI_PLAN` under a running
+/// process has **no** effect.
+pub fn planning_enabled() -> bool {
     static ENV_PLAN: OnceLock<bool> = OnceLock::new();
     *ENV_PLAN.get_or_init(|| match std::env::var("QI_PLAN") {
         Err(_) => true,
@@ -66,38 +51,14 @@ fn env_planning() -> bool {
     })
 }
 
-/// Is cost-based planning (join reordering + prefilters) enabled?
-/// Override first, then `QI_PLAN`, then the default (on).
-///
-/// This reads **process-wide** state and is only the right call for the
-/// `Planning::Auto` fallback; per-request paths resolve an explicit
-/// [`qi_exec::Planning`] through [`planning_enabled_for`] instead, so
-/// concurrent requests with different modes never race the global.
-pub fn planning_enabled() -> bool {
-    match PLAN_OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => env_planning(),
-    }
-}
-
-/// Resolve a per-request [`Planning`] mode: `On`/`Off` are taken as-is
-/// (no process global consulted — the isolation contract of
-/// `qi_exec::ExecConfig`); `Auto` falls back to [`planning_enabled`].
+/// Resolve a per-request [`Planning`] mode: `On`/`Off` are taken as-is;
+/// `Auto` falls back to [`planning_enabled`].
 pub fn planning_enabled_for(planning: Planning) -> bool {
     match planning {
         Planning::On => true,
         Planning::Off => false,
         Planning::Auto => planning_enabled(),
     }
-}
-
-/// The planning mode the `QI_PLAN` environment variable selected for
-/// this process — the cached result of the once-per-process parse.
-/// Servers log this at bind time so operators know that changing
-/// `QI_PLAN` under a running process has **no** effect.
-pub fn effective_env_planning() -> bool {
-    env_planning()
 }
 
 /// Static per-relation cardinality estimates, the planner's fallback
@@ -513,16 +474,6 @@ mod tests {
         };
         let plan = plan_pattern(&p, i.store(), Some(&st), None, &[]);
         assert_eq!(plan.order, vec![1, 0]);
-    }
-
-    #[test]
-    fn override_beats_environment() {
-        // The env default is "on" in this process (QI_PLAN unset).
-        set_planning_override(Some(false));
-        assert!(!planning_enabled());
-        set_planning_override(Some(true));
-        assert!(planning_enabled());
-        set_planning_override(None);
     }
 
     #[test]

@@ -66,11 +66,12 @@ fn main() {
             .sum();
         let (qi_ok, inv_ok) = if tuple_universe <= 8 {
             let universe = ground_instances(&m.source, &["a", "b"], tuple_universe);
-            let q = is_quasi_inverse_bounded(m, &qi, &universe).expect("verification");
+            let q = is_quasi_inverse_bounded(m, &qi, &universe, &Budget::unlimited())
+                .expect("verification");
             let inv = inverse(m).expect("algorithm succeeds");
             let i_ok = match inv {
                 Some(rev) => {
-                    is_inverse_bounded(m, &rev, &universe)
+                    is_inverse_bounded(m, &rev, &universe, &Budget::unlimited())
                         .expect("verification")
                         .holds
                 }

@@ -41,7 +41,8 @@ fn main() {
 
     // Verify inverse-ness exhaustively on a small closed universe.
     let universe = ground_instances(&m.source, &["a", "b"], 4);
-    let report = is_inverse_bounded(&m, &rollback, &universe).expect("verification");
+    let report =
+        is_inverse_bounded(&m, &rollback, &universe, &Budget::unlimited()).expect("verification");
     assert!(report.holds);
     println!(
         "Bounded Definition 3.3 check: {} pairs over a {}-instance universe — inverse confirmed.\n",
@@ -78,11 +79,12 @@ fn main() {
 
     // It is no longer an inverse … but it verifies as a quasi-inverse.
     let universe_aug = ground_instances(&m_aug.source, &["a", "b"], 6);
-    let inv_report =
-        is_inverse_bounded(&m_aug, &rollback_aug, &universe_aug).expect("verification");
+    let inv_report = is_inverse_bounded(&m_aug, &rollback_aug, &universe_aug, &Budget::unlimited())
+        .expect("verification");
     assert!(!inv_report.holds, "invertibility is destroyed");
     let qi_report =
-        is_quasi_inverse_bounded(&m_aug, &rollback_aug, &universe_aug).expect("verification");
+        is_quasi_inverse_bounded(&m_aug, &rollback_aug, &universe_aug, &Budget::unlimited())
+            .expect("verification");
     assert!(qi_report.holds, "…but quasi-invertibility survives (§1)");
     println!(
         "After evolution: inverse check fails ({} mismatches), quasi-inverse check holds\n\

@@ -75,9 +75,7 @@ pub mod prelude {
         ContainmentVerdict, ContainmentWitness, RecoveryReport,
     };
     pub use qi_core::{quasi_inverse_full, quasi_inverse_lav, so_compose};
-    pub use qi_exec::{
-        set_global_threads, Budget, Exceeded, ExecConfig, ExecStats, Parallelism, Planning,
-    };
+    pub use qi_exec::{Budget, Exceeded, ExecConfig, ExecStats, Parallelism, Planning};
     pub use qi_lang::{
         parse_disj_tgd, parse_egd, parse_tgd, skolemize, Atom, DisjTgd, Egd, SoTgd, Tgd, Var,
     };

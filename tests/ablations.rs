@@ -45,7 +45,7 @@ fn sigma_star_ablation_detected_by_bounded_verification() {
     )
     .unwrap();
     let universe = quasi_inverse::core::enumerate::ground_instances(&m.source, &["a", "b"], 3);
-    let report = is_quasi_inverse_bounded(&m, &ablated, &universe).unwrap();
+    let report = is_quasi_inverse_bounded(&m, &ablated, &universe, &Budget::unlimited()).unwrap();
     assert!(!report.holds, "the ablated output is not a quasi-inverse");
 }
 

@@ -147,13 +147,13 @@ fn maximum_recovery_satisfies_the_sol_containment_characterization() {
     // it (both sides of the comparison are exact per pair).
     for (seed, m, mr) in corpus() {
         let universe = tiny_universe(&m.source);
-        let rec = is_recovery_bounded(m, mr, &universe).unwrap();
+        let rec = is_recovery_bounded(m, mr, &universe, &Budget::unlimited()).unwrap();
         assert!(
             rec.holds,
             "seed {seed}: recovery failures {:?}",
             rec.failures
         );
-        let max = is_maximum_recovery_bounded(m, mr, &universe).unwrap();
+        let max = is_maximum_recovery_bounded(m, mr, &universe, &Budget::unlimited()).unwrap();
         assert!(max.holds, "seed {seed}: mismatches {:?}", max.mismatches);
         let mut r = instance_rng(*seed);
         let i1 = random_ground_instance(&m.source, &mut r, &IP);
@@ -382,7 +382,7 @@ fn non_recovery_and_non_maximum_candidates_are_rejected() {
     let m = SchemaMapping::parse("P/2", "Q/2", &["P(x,y) -> Q(x,y)"]).unwrap();
     let wrong = ReverseMapping::parse(&m, &["Q(x,y) & const(x) & const(y) -> P(y,x)"]).unwrap();
     let universe = tiny_universe(&m.source);
-    let rec = is_recovery_bounded(&m, &wrong, &universe).unwrap();
+    let rec = is_recovery_bounded(&m, &wrong, &universe, &Budget::unlimited()).unwrap();
     assert!(!rec.holds);
     for &i in &rec.failures {
         // Each reported failure is confirmed by the exact check.
@@ -407,12 +407,12 @@ fn non_recovery_and_non_maximum_candidates_are_rejected() {
     for (seed, m, _mr) in corpus() {
         let universe = tiny_universe(&m.source);
         let empty = ReverseMapping::new(m.target.clone(), m.source.clone(), vec![]).unwrap();
-        let rec = is_recovery_bounded(m, &empty, &universe).unwrap();
+        let rec = is_recovery_bounded(m, &empty, &universe, &Budget::unlimited()).unwrap();
         assert!(rec.holds, "seed {seed}: ∅ must recover everything");
         let distinguishes = universe
             .iter()
             .any(|a| universe.iter().any(|b| !solutions_subset(m, b, a).unwrap()));
-        let max = is_maximum_recovery_bounded(m, &empty, &universe).unwrap();
+        let max = is_maximum_recovery_bounded(m, &empty, &universe, &Budget::unlimited()).unwrap();
         assert_eq!(
             max.holds, !distinguishes,
             "seed {seed}: rejection must coincide with sol-space distinguishability"
@@ -437,27 +437,42 @@ fn verdicts_are_identical_across_thread_counts() {
     // The determinism contract extends to the new algebra: recoveries,
     // containment verdicts and bounded reports are byte-identical at
     // threads 1, 4 and auto. (The CI matrix additionally reruns the
-    // whole harness under `QI_THREADS=1/4`; this test flips the
-    // in-process override, which takes precedence over the variable.)
+    // whole harness under `QI_THREADS=1/4`, which also covers the
+    // bounded verifier's chases: they take a budget, not a thread
+    // count.)
     let n = (cases() as usize).min(16);
     let signature = |threads: usize| -> String {
-        set_global_threads(threads);
+        let exec = ExecConfig::auto().with_parallelism(match threads {
+            0 => Parallelism::auto(),
+            n => Parallelism::fixed(n),
+        });
+        let options = QuasiInverseOptions {
+            exec: exec.clone(),
+            ..oracle_options()
+        };
         let mut out = String::new();
         for (seed, _, _) in &corpus()[..n] {
             let mut r = rng(*seed);
             let params = any_params(&mut r);
-            let m = random_mapping(&mut r, &params);
+            let m = random_mapping(&mut r, &params).with_exec(exec.clone());
             // Recomputed from scratch at each setting — the candidate
             // cap's trip point is part of the determinism contract too.
-            let mr = maximum_recovery(&m, &oracle_options()).unwrap();
+            let mr = maximum_recovery(&m, &options).unwrap();
             for d in &mr.deps {
                 out.push_str(&d.to_string());
                 out.push('\n');
             }
             let params2 = any_params(&mut r);
-            let other = random_mapping_between(&mut r, &m.source, &m.target, &params2);
+            let other = random_mapping_between(&mut r, &m.source, &m.target, &params2)
+                .with_exec(exec.clone());
             out.push_str(&format!("{:?}\n", mapping_contains(&m, &other).unwrap()));
-            let max = is_maximum_recovery_bounded(&m, &mr, &tiny_universe(&m.source)).unwrap();
+            let max = is_maximum_recovery_bounded(
+                &m,
+                &mr,
+                &tiny_universe(&m.source),
+                &Budget::unlimited(),
+            )
+            .unwrap();
             out.push_str(&format!("{} {:?}\n", max.holds, max.mismatches));
         }
         out
@@ -466,5 +481,4 @@ fn verdicts_are_identical_across_thread_counts() {
     for threads in [4, 0] {
         assert_eq!(signature(threads), base, "threads {threads}");
     }
-    set_global_threads(0);
 }

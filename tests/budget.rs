@@ -7,9 +7,8 @@
 //! runs at every thread count (see DESIGN.md, "Resource budgets and
 //! graceful degradation").
 //!
-//! Also home to the regression tests for the two latent bugs found in
-//! the same audit: the `HomCache` probe-key namespace collision and
-//! `ExecStats::absorb` conflating unrelated worker indexes.
+//! Also home to the regression test for a latent bug found in the same
+//! audit: `ExecStats::absorb` conflating unrelated worker indexes.
 
 use quasi_inverse::chase::{
     chase_with_target_deps, ChaseError, ChasePartial, ExchangeSetting, TargetChaseOptions,
@@ -17,8 +16,7 @@ use quasi_inverse::chase::{
 use quasi_inverse::core::CoreError;
 use quasi_inverse::exec::{Budget, Exceeded};
 use quasi_inverse::prelude::*;
-use quasi_inverse::schema::HomCache;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -246,46 +244,20 @@ fn bounded_verification_is_interruptible() {
     let rev = quasi_inverse::core::quasi_inverse(&m, &Default::default()).unwrap();
     let universe = quasi_inverse::core::enumerate::ground_instances(&m.source, &["a", "b"], 2);
     let budget = Budget::unlimited().with_deadline(Duration::ZERO);
-    let err = quasi_inverse::core::is_quasi_inverse_bounded_budgeted(&m, &rev, &universe, &budget)
-        .unwrap_err();
+    let err =
+        quasi_inverse::core::is_quasi_inverse_bounded(&m, &rev, &universe, &budget).unwrap_err();
     match err {
         CoreError::Resource(r) => assert_eq!(r.exceeded, Exceeded::Deadline),
         other => panic!("expected a resource error, got: {other}"),
     }
-    // The budgeted entry point with no limits agrees with the plain one.
-    let a = quasi_inverse::core::is_quasi_inverse_bounded(&m, &rev, &universe).unwrap();
-    let b = quasi_inverse::core::is_quasi_inverse_bounded_budgeted(
-        &m,
-        &rev,
-        &universe,
-        &Budget::unlimited(),
-    )
-    .unwrap();
+    // A generous budget agrees with an unlimited one.
+    let a =
+        quasi_inverse::core::is_quasi_inverse_bounded(&m, &rev, &universe, &Budget::unlimited())
+            .unwrap();
+    let roomy = Budget::unlimited().with_deadline(Duration::from_secs(600));
+    let b = quasi_inverse::core::is_quasi_inverse_bounded(&m, &rev, &universe, &roomy).unwrap();
     assert_eq!(a.holds, b.holds);
     assert_eq!(a.mismatches, b.mismatches);
-}
-
-/// Regression: `HomCache` probe keys used to share one answer table
-/// with the hom-membership cache, whose keys were `"hom|{fingerprint}"`
-/// strings — a caller-chosen probe key of that shape silently read the
-/// hom cache's booleans. Pre-fix, the forged probe below never ran its
-/// closure and returned the hom cache's `true`.
-#[test]
-fn homcache_probe_keys_cannot_alias_hom_entries() {
-    let s = Schema::parse("P/1").unwrap();
-    let a = Instance::parse(&s, "P(c)").unwrap();
-    let cache = HomCache::new();
-    assert!(cache.has_hom(&a, &a), "identity hom exists");
-    let forged = format!("hom|{}", a.store().fingerprint());
-    let ran = AtomicBool::new(false);
-    let answer = cache.probe(&forged, &a, || {
-        ran.store(true, Ordering::Relaxed);
-        false
-    });
-    assert!(ran.load(Ordering::Relaxed), "the probe closure must run");
-    assert!(!answer, "the probe must report its own answer");
-    // The hom entry itself is unharmed.
-    assert!(cache.has_hom(&a, &a));
 }
 
 /// Regression: `ExecStats::absorb` used to sum `per_worker` loads

@@ -12,6 +12,14 @@ use quasi_inverse::workloads::random::{
 
 const CASES: u64 = 20;
 
+/// The executor configuration of one sweep point (`0` = auto).
+fn sweep_exec(threads: usize) -> ExecConfig {
+    ExecConfig::auto().with_parallelism(match threads {
+        0 => Parallelism::auto(),
+        n => Parallelism::fixed(n),
+    })
+}
+
 #[test]
 fn compose_agrees_with_membership() {
     for seed in 0..CASES {
@@ -149,7 +157,11 @@ fn composition_is_associative_under_containment() {
         (m12, m23, m34)
     };
     for &threads in &[1usize, 4, 0] {
-        set_global_threads(threads);
+        let exec = sweep_exec(threads);
+        let opts = MinGenOptions {
+            exec: exec.clone(),
+            ..opts.clone()
+        };
         let mut exercised = 0u64;
         for seed in 0..2 * CASES {
             let (m12, m23, m34) = triple(seed);
@@ -164,6 +176,7 @@ fn composition_is_associative_under_containment() {
                 Err(CoreError::Budget(_)) => continue,
                 Err(e) => panic!("seed {seed}: {e}"),
             };
+            let (left, right) = (left.with_exec(exec.clone()), right.with_exec(exec.clone()));
             assert!(
                 mapping_equivalent(&left, &right).unwrap(),
                 "seed {seed}, threads {threads}:\nleft: {left}\nright: {right}"
@@ -175,7 +188,6 @@ fn composition_is_associative_under_containment() {
             "budget skips starved the associativity property: {exercised} cases"
         );
     }
-    set_global_threads(0);
 }
 
 /// The identity mapping is a two-sided unit for composition up to
@@ -185,7 +197,7 @@ fn composition_is_associative_under_containment() {
 #[test]
 fn identity_is_a_unit_for_composition_under_containment() {
     for &threads in &[1usize, 4, 0] {
-        set_global_threads(threads);
+        let exec = sweep_exec(threads);
         for seed in 0..CASES {
             let mut r = rng(seed);
             let m = random_mapping(
@@ -196,14 +208,18 @@ fn identity_is_a_unit_for_composition_under_containment() {
                     n_tgds: 2,
                     ..Default::default()
                 },
-            );
+            )
+            .with_exec(exec.clone());
             let id_src = SchemaMapping::identity(&m.source).unwrap();
             let id_tgt = SchemaMapping::identity(&m.target).unwrap();
-            let opts = MinGenOptions::default();
+            let opts = MinGenOptions {
+                exec: exec.clone(),
+                ..Default::default()
+            };
             // The replica schemas produced by `identity` are `same_as`
             // the originals, so both compositions type-check directly.
-            let left = compose(&id_src, &m, &opts).unwrap();
-            let right = compose(&m, &id_tgt, &opts).unwrap();
+            let left = compose(&id_src, &m, &opts).unwrap().with_exec(exec.clone());
+            let right = compose(&m, &id_tgt, &opts).unwrap().with_exec(exec.clone());
             assert!(
                 mapping_equivalent(&left, &m).unwrap(),
                 "seed {seed}, threads {threads}: id ∘ M ≢ M\n{left}"
@@ -214,7 +230,6 @@ fn identity_is_a_unit_for_composition_under_containment() {
             );
         }
     }
-    set_global_threads(0);
 }
 
 #[test]

@@ -19,9 +19,10 @@
 //! sits on top of `exists`/`any_match`, whose component decomposition may
 //! fan out through `qi-exec`, and the rendered core must stay
 //! byte-identical at every setting — same contract `tests/match_oracle.rs`
-//! enforces for the chase.
+//! enforces for the chase. `core_of` takes no `ExecConfig` (its fan-out
+//! follows `QI_THREADS`, parsed once per process), so the sweep reruns
+//! this test binary under each `QI_THREADS` value.
 
-use quasi_inverse::exec::set_global_threads;
 use quasi_inverse::schema::{
     core_of, core_of_greedy, core_of_with_stats, has_hom, hom_equivalent, is_isomorphic, Instance,
     Schema, Value,
@@ -133,21 +134,44 @@ fn core_is_byte_identical_across_thread_counts() {
         let mut r = rng(8_000 + seed);
         inputs.push(random_instance(&schema, &mut r, 9, 4));
     }
-    let render = |threads: usize| -> Vec<String> {
-        set_global_threads(threads);
-        let out = inputs.iter().map(|i| core_of(i).to_string()).collect();
-        set_global_threads(0);
-        out
-    };
-    let at_one = render(1);
-    let at_four = render(4);
-    assert_eq!(at_one, at_four, "core_of diverged across thread counts");
-    // And both agree with the auto setting (whatever this host resolves).
+    if std::env::var_os(SWEEP_CHILD).is_some() {
+        // Child run: report this process's cores to the parent.
+        let cores: String = inputs.iter().map(|i| format!("{}\n", core_of(i))).collect();
+        print!("{CORES_BEGIN}{cores}{CORES_END}");
+        return;
+    }
+    // Both children run only this test, so they intern constants in the
+    // same order and render comparably; this process, whose other tests
+    // intern concurrently, would not.
     assert_eq!(
-        at_one,
-        inputs
-            .iter()
-            .map(|i| core_of(i).to_string())
-            .collect::<Vec<_>>()
+        cores_under_threads(1),
+        cores_under_threads(4),
+        "core_of diverged across thread counts"
     );
+}
+
+/// Marks a child run of the thread-count sweep.
+const SWEEP_CHILD: &str = "QI_CORE_ORACLE_SWEEP_CHILD";
+const CORES_BEGIN: &str = "<<<cores\n";
+const CORES_END: &str = "cores>>>";
+
+/// The rendered cores of [`core_is_byte_identical_across_thread_counts`]
+/// as computed by a rerun of this test binary under `QI_THREADS=threads`.
+fn cores_under_threads(threads: usize) -> String {
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+        .args([
+            "core_is_byte_identical_across_thread_counts",
+            "--exact",
+            "--nocapture",
+            "--test-threads=1",
+        ])
+        .env("QI_THREADS", threads.to_string())
+        .env(SWEEP_CHILD, "1")
+        .output()
+        .expect("rerun the test binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "child run failed:\n{stdout}");
+    let start = stdout.find(CORES_BEGIN).expect("child reports its cores") + CORES_BEGIN.len();
+    let end = stdout[start..].find(CORES_END).expect("child report ends") + start;
+    stdout[start..end].to_owned()
 }

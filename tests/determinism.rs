@@ -20,6 +20,17 @@ use quasi_inverse::workloads::random::{
 /// The parallel side of every sweep; threads = 1 is the baseline.
 const SWEEP: [usize; 3] = [2, 4, 8];
 
+/// A sweep that silently ran sequentially would prove nothing: on a
+/// host with two or more CPUs, a `Parallelism::fixed(2)` run must
+/// report two workers. (Every worker count is capped at the CPU count,
+/// so a one-CPU host runs each sweep point sequentially.)
+fn assert_ran_in_parallel(threads: usize, stats: &ExecStats, what: &str) {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if threads == 2 && cpus >= 2 {
+        assert_eq!(stats.workers, 2, "{what}: threads=2 ran on one worker");
+    }
+}
+
 #[test]
 fn chase_is_deterministic() {
     for seed in 0..8 {
@@ -133,6 +144,27 @@ fn parallel_chase_is_byte_identical_to_sequential() {
             );
             assert_eq!(par.triggers, seq.triggers, "seed {seed}, threads {threads}");
             assert_eq!(par.fired, seq.fired, "seed {seed}, threads {threads}");
+            // The planned scheduler's cost hint may keep inputs this
+            // small on one worker; unplanned, every tgd is a task.
+            let unplanned = chase_with_options(
+                &m.tgds,
+                &i,
+                &m.target,
+                ChaseOptions {
+                    exec: ExecConfig::default()
+                        .with_parallelism(Parallelism::fixed(threads))
+                        .with_planning(Planning::Off),
+                },
+            )
+            .unwrap();
+            assert_eq!(
+                unplanned.instance.to_string(),
+                seq.instance.to_string(),
+                "seed {seed}, threads {threads}, unplanned"
+            );
+            if m.tgds.len() >= 2 {
+                assert_ran_in_parallel(threads, &unplanned.stats, &format!("chase seed {seed}"));
+            }
         }
     }
 }
@@ -203,6 +235,7 @@ fn parallel_disjunctive_chase_is_byte_identical_to_sequential() {
         );
         assert_eq!(par.nodes_visited, seq.nodes_visited, "threads {threads}");
         assert_eq!(par.waves, seq.waves, "threads {threads}");
+        assert_ran_in_parallel(threads, &par.stats, "disjunctive chase");
     }
 }
 
@@ -251,6 +284,7 @@ fn parallel_mingen_is_byte_identical_to_sequential() {
             par.candidates_tested, seq.candidates_tested,
             "threads {threads}"
         );
+        assert_ran_in_parallel(threads, &par.stats, "MinGen");
     }
 }
 

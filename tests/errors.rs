@@ -144,7 +144,7 @@ fn composition_contains_requires_guard_completeness() {
     ));
     // And the bounded verifiers refuse the same way.
     let universe = quasi_inverse::core::enumerate::ground_instances(&m.source, &["a"], 1);
-    assert!(is_inverse_bounded(&m, &unguarded, &universe).is_err());
+    assert!(is_inverse_bounded(&m, &unguarded, &universe, &Budget::unlimited()).is_err());
 }
 
 #[test]

@@ -63,7 +63,7 @@ fn output_verifies_as_an_inverse_on_a_closed_universe() {
     // All subsets of the 4 possible R-tuples over two constants.
     let universe = ground_instances(&m.source, &["a", "b"], 4);
     assert_eq!(universe.len(), 16);
-    let report = is_inverse_bounded(&m, &rev, &universe).unwrap();
+    let report = is_inverse_bounded(&m, &rev, &universe, &Budget::unlimited()).unwrap();
     assert!(report.holds, "mismatches: {:?}", report.mismatches);
 }
 

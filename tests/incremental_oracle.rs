@@ -18,17 +18,11 @@ use quasi_inverse::chase::{
     chase_delta, chase_incremental, is_universal_solution, ChaseError, ChasePartial, ChaseResult,
     DeltaChaseOptions, ExchangeSetting, TargetChaseResult,
 };
-use quasi_inverse::exec::{set_hardware_parallelism_override, Budget, ExecConfig, Parallelism};
+use quasi_inverse::exec::{Budget, ExecConfig, Parallelism, Planning};
 use quasi_inverse::lang::{parse_egd, parse_tgd};
-use quasi_inverse::schema::{
-    core_delta, core_of, set_planning_override, Diff, HomCache, Instance, Schema,
-};
+use quasi_inverse::schema::{core_delta, core_of, Diff, HomCache, Instance, Schema};
 use quasi_inverse::workloads::random::{random_ground_instance, rng, InstanceParams};
 use quasi_inverse::workloads::updates::{update_stream, UpdateMix, UpdateParams};
-use std::sync::Mutex;
-
-/// Serializes sweeps: the planning override is process-wide state.
-static PLAN_GUARD: Mutex<()> = Mutex::new(());
 
 /// Randomized cases per sweep: 12 by default, via `PROPTEST_CASES` in
 /// the deep CI tier.
@@ -41,41 +35,39 @@ fn cases() -> u64 {
 
 /// The planning × threads grid; `None` is auto parallelism. The
 /// unplanned sequential cell runs first and is the byte reference.
-const GRID: [(bool, Option<usize>); 6] = [
-    (false, Some(1)),
-    (false, Some(4)),
-    (false, None),
-    (true, Some(1)),
-    (true, Some(4)),
-    (true, None),
+const GRID: [(Planning, Option<usize>); 6] = [
+    (Planning::Off, Some(1)),
+    (Planning::Off, Some(4)),
+    (Planning::Off, None),
+    (Planning::On, Some(1)),
+    (Planning::On, Some(4)),
+    (Planning::On, None),
 ];
 
-fn parallelism(threads: Option<usize>) -> Parallelism {
-    match threads {
-        Some(n) => Parallelism::fixed(n),
-        None => Parallelism::auto(),
-    }
-}
-
 /// Run `render` over the whole grid and assert byte identity against
-/// the first (unplanned, sequential) cell.
-fn sweep_grid(ctx: &str, mut render: impl FnMut(Parallelism) -> String) {
-    let _guard = PLAN_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-    set_hardware_parallelism_override(Some(8));
+/// the first (unplanned, sequential) cell. `core_of`/`core_delta` take
+/// no `ExecConfig`: they run under the process's `QI_PLAN`/`QI_THREADS`,
+/// which the CI env matrices vary.
+fn sweep_grid(ctx: &str, mut render: impl FnMut(&ExecConfig) -> String) {
     let mut reference: Option<String> = None;
-    for (planned, threads) in GRID {
-        set_planning_override(Some(planned));
-        let rendered = render(parallelism(threads));
+    for (planning, threads) in GRID {
+        let exec = ExecConfig::auto()
+            .with_planning(planning)
+            .with_parallelism(threads.map_or_else(Parallelism::auto, Parallelism::fixed));
+        let rendered = render(&exec);
         match &reference {
             None => reference = Some(rendered),
             Some(r) => assert_eq!(
                 &rendered, r,
-                "{ctx}: planned={planned} × threads={threads:?} diverged"
+                "{ctx}: planning={planning:?} × threads={threads:?} diverged"
             ),
         }
     }
-    set_planning_override(None);
-    set_hardware_parallelism_override(None);
+}
+
+/// The sequential configuration of the non-grid checks.
+fn sequential() -> ExecConfig {
+    ExecConfig::auto().with_parallelism(Parallelism::sequential())
 }
 
 /// Render every maintained artifact of one result.
@@ -87,9 +79,9 @@ fn render(r: &ChaseResult) -> String {
     format!("base={}\nsol={sol}", r.base)
 }
 
-fn opts(par: Parallelism) -> DeltaChaseOptions {
+fn opts(exec: &ExecConfig) -> DeltaChaseOptions {
     DeltaChaseOptions {
-        exec: ExecConfig::default().with_parallelism(par),
+        exec: exec.clone(),
         ..Default::default()
     }
 }
@@ -114,10 +106,10 @@ fn replay_and_check(
     target: &Schema,
     start: &Instance,
     stream: &[Diff],
-    par: Parallelism,
+    exec: &ExecConfig,
     ctx: &str,
 ) -> String {
-    let o = opts(par);
+    let o = opts(exec);
     let mut cur = chase_incremental(setting, start, target, &o).unwrap();
     let mut inst = start.clone();
     let mut core = cur.solution().map(core_of);
@@ -180,8 +172,8 @@ fn closure_streams_match_from_scratch() {
                     mix,
                 },
             );
-            sweep_grid(&format!("closure {tag} stream, seed {seed}"), |par| {
-                replay_and_check(&setting, &t, &start, &stream, par, tag)
+            sweep_grid(&format!("closure {tag} stream, seed {seed}"), |exec| {
+                replay_and_check(&setting, &t, &start, &stream, exec, tag)
             });
         }
     }
@@ -222,13 +214,13 @@ fn existential_st_streams_match_from_scratch() {
                 mix: UpdateMix::Mixed,
             },
         );
-        sweep_grid(&format!("existential stream, seed {seed}"), |par| {
-            replay_and_check(&setting, &t, &start, &stream, par, "existential")
+        sweep_grid(&format!("existential stream, seed {seed}"), |exec| {
+            replay_and_check(&setting, &t, &start, &stream, exec, "existential")
         });
         // Verification verdict: both chased instances are (the same)
         // universal solution for the evolved source.
         let mut inst = start.clone();
-        let o = opts(Parallelism::sequential());
+        let o = opts(&sequential());
         let mut cur = chase_incremental(&setting, &start, &t, &o).unwrap();
         for diff in &stream {
             cur = chase_delta(&cur, diff, &o).unwrap();
@@ -271,8 +263,8 @@ fn egd_fallback_streams_match_from_scratch() {
         "+ EmpSrc(e1,anne)", // egd merges ann/anne? both constants: conflict
         "- EmpSrc(e1,anne)", // back to a solvable instance
     ];
-    sweep_grid("egd fallback stream", |par| {
-        let o = opts(par);
+    sweep_grid("egd fallback stream", |exec| {
+        let o = opts(exec);
         let mut cur = chase_incremental(&setting, &start, &t, &o).unwrap();
         let mut inst = start.clone();
         let mut transcript = render(&cur);
@@ -339,14 +331,14 @@ fn budget_trip_is_typed_and_sound() {
             .join(" "),
     )
     .unwrap();
-    let full = chase_incremental(&setting, &start, &t, &opts(Parallelism::sequential())).unwrap();
+    let full = chase_incremental(&setting, &start, &t, &opts(&sequential())).unwrap();
     let prev = {
         // Memoized result produced under no budget; the *delta* runs
         // with a tight cap.
         let small = Instance::parse(&s, "E(v0,v1)").unwrap();
         let diff = Diff::between(&small, &start);
-        let base = chase_incremental(&setting, &small, &t, &opts(Parallelism::sequential()));
-        chase_delta(&base.unwrap(), &diff, &opts(Parallelism::sequential())).unwrap()
+        let base = chase_incremental(&setting, &small, &t, &opts(&sequential()));
+        chase_delta(&base.unwrap(), &diff, &opts(&sequential())).unwrap()
     };
     assert_eq!(render(&prev), render(&full), "unbudgeted delta must agree");
 
@@ -368,8 +360,7 @@ fn budget_trip_is_typed_and_sound() {
     };
     let mut updated = start.clone();
     ext.apply(&mut updated).unwrap();
-    let uninterrupted =
-        chase_incremental(&setting, &updated, &t, &opts(Parallelism::sequential())).unwrap();
+    let uninterrupted = chase_incremental(&setting, &updated, &t, &opts(&sequential())).unwrap();
     match chase_delta(&prev, &ext, &capped) {
         Err(ChaseError::Resource(r)) => match &r.partial {
             ChasePartial::Instance(partial) => {

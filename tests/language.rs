@@ -23,7 +23,7 @@ fn thm_4_8_papers_inverse_verifies_and_uses_constants() {
     let inv = paper::thm_4_8_inverse();
     assert!(inv.deps[0].has_constants());
     let universe = closed_universe(&m);
-    let report = is_inverse_bounded(&m, &inv, &universe).unwrap();
+    let report = is_inverse_bounded(&m, &inv, &universe, &Budget::unlimited()).unwrap();
     assert!(report.holds, "mismatches: {:?}", report.mismatches);
     // Dropping the guards breaks it: Q(x,z) ∧ Q(z,y) → P(x,y) without
     // Constant would fire on the nulls of U and invent facts.
@@ -33,7 +33,7 @@ fn thm_4_8_papers_inverse_verifies_and_uses_constants() {
     // U = {Q(a,N), Q(N,b)}: the unguarded premise matches x=a,z=N,y=b …
     // recovering P(a,b) — plus nothing wrong here; the failure shows up
     // as non-inverse behaviour on pairs, which the bounded check sees:
-    let report = is_inverse_bounded(&m, &unguarded, &universe);
+    let report = is_inverse_bounded(&m, &unguarded, &universe, &Budget::unlimited());
     // (the unguarded mapping is not guard-complete, so the exact checker
     // refuses it — itself evidence that it leaves the language)
     assert!(report.is_err());
@@ -47,7 +47,7 @@ fn thm_4_8_algorithms_inverse_agrees_with_papers() {
     // ω(Σ, I_{P(x1,x2)}) = Q(x1,y1) ∧ Q(y1,x2) ∧ guards → P(x1,x2):
     // the same join as the paper's inverse, with the all-distinct guard.
     let universe = closed_universe(&m);
-    let report = is_inverse_bounded(&m, &algo, &universe).unwrap();
+    let report = is_inverse_bounded(&m, &algo, &universe, &Budget::unlimited()).unwrap();
     assert!(report.holds);
     let f = algo.language_features();
     assert!(f.constants && f.inequalities && !f.disjunction && !f.existentials);
@@ -59,7 +59,7 @@ fn thm_4_9_inverse_needs_inequalities_and_verifies() {
     let algo = inverse(&m).unwrap().expect("constant propagation holds");
     assert!(algo.language_features().inequalities);
     let universe = closed_universe(&m);
-    let report = is_inverse_bounded(&m, &algo, &universe).unwrap();
+    let report = is_inverse_bounded(&m, &algo, &universe, &Budget::unlimited()).unwrap();
     assert!(report.holds, "mismatches: {:?}", report.mismatches);
 }
 
@@ -71,7 +71,7 @@ fn thm_4_10_quasi_inverse_uses_disjunction() {
     let rev = quasi_inverse::core::quasi_inverse(&m, &Default::default()).unwrap();
     assert!(rev.language_features().disjunction);
     let universe = closed_universe(&m);
-    let report = is_quasi_inverse_bounded(&m, &rev, &universe).unwrap();
+    let report = is_quasi_inverse_bounded(&m, &rev, &universe, &Budget::unlimited()).unwrap();
     assert!(report.holds, "mismatches: {:?}", report.mismatches);
 }
 
@@ -83,7 +83,7 @@ fn thm_4_11_quasi_inverse_uses_existentials() {
     let rev = quasi_inverse::core::quasi_inverse(&m, &Default::default()).unwrap();
     assert!(rev.language_features().existentials);
     let universe = closed_universe(&m);
-    let report = is_quasi_inverse_bounded(&m, &rev, &universe).unwrap();
+    let report = is_quasi_inverse_bounded(&m, &rev, &universe, &Budget::unlimited()).unwrap();
     assert!(report.holds, "mismatches: {:?}", report.mismatches);
 }
 

@@ -97,7 +97,7 @@ fn nullary_head_variables_are_not_a_thing_but_unary_lav_works() {
         .unwrap()
         .is_none());
     let rev = quasi_inverse::core::quasi_inverse(&m, &Default::default()).unwrap();
-    let report = is_quasi_inverse_bounded(&m, &rev, &universe).unwrap();
+    let report = is_quasi_inverse_bounded(&m, &rev, &universe, &Budget::unlimited()).unwrap();
     assert!(report.holds);
 }
 

@@ -47,7 +47,7 @@ fn invertibility_claims_match_bounded_verification() {
         let computed = match inverse(&entry.mapping).unwrap() {
             None => false, // Prop 5.3: no constant propagation ⇒ no inverse
             Some(rev) => {
-                is_inverse_bounded(&entry.mapping, &rev, &universe)
+                is_inverse_bounded(&entry.mapping, &rev, &universe, &Budget::unlimited())
                     .unwrap()
                     .holds
             }
@@ -75,9 +75,10 @@ fn quasi_invertibility_claims_match_bounded_verification() {
             continue;
         };
         let qi = quasi_inverse::core::quasi_inverse(&entry.mapping, &Default::default()).unwrap();
-        let computed = is_quasi_inverse_bounded(&entry.mapping, &qi, &universe)
-            .unwrap()
-            .holds;
+        let computed =
+            is_quasi_inverse_bounded(&entry.mapping, &qi, &universe, &Budget::unlimited())
+                .unwrap()
+                .holds;
         if let Some(claimed) = entry.verdict.quasi_invertible {
             assert_eq!(
                 computed, claimed,

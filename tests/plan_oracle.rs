@@ -11,10 +11,9 @@
 //!   counts),
 //! - quasi-inverse dependency lists and disjunctive back-chase leaves.
 //!
-//! Planning mode is a process-wide toggle, so the sweeps serialize on a
-//! mutex and always restore the environment default before releasing
-//! it. The hardware-parallelism override forces genuine multi-worker
-//! morsel claiming even on single-core CI machines.
+//! Every cell passes its planning mode and thread count in an explicit
+//! `ExecConfig`. `core_of` takes none: it runs under the process's
+//! `QI_PLAN`/`QI_THREADS`, which the CI env matrices vary.
 //!
 //! The randomized sweep count defaults to 12, overridden by
 //! `PROPTEST_CASES` (the deep push-only CI tier runs 1024).
@@ -23,15 +22,12 @@ use quasi_inverse::chase::{
     chase_with_options, chase_with_target_deps_stats, disjunctive_chase_with_stats, ChaseOptions,
     DisjChaseOptions, ExchangeSetting, TargetChaseOptions, TargetChaseResult,
 };
-use quasi_inverse::exec::{set_hardware_parallelism_override, ExecConfig, Parallelism};
+use quasi_inverse::core::QuasiInverseOptions;
+use quasi_inverse::exec::{ExecConfig, Parallelism, Planning};
 use quasi_inverse::lang::{parse_egd, parse_tgd};
-use quasi_inverse::schema::{core_of, set_planning_override, Instance, Schema, Value};
+use quasi_inverse::schema::{core_of, Instance, Schema, Value};
 use quasi_inverse::workloads::paper;
 use quasi_inverse::workloads::random::{random_ground_instance, rng, InstanceParams};
-use std::sync::Mutex;
-
-/// Serializes sweeps: the planning override is process-wide state.
-static PLAN_GUARD: Mutex<()> = Mutex::new(());
 
 /// Randomized cases per sweep: 12 by default, via `PROPTEST_CASES` in
 /// the deep CI tier.
@@ -44,43 +40,32 @@ fn cases() -> u64 {
 
 /// The planning × threads grid; `None` is auto parallelism. The
 /// unplanned sequential cell runs first and is the byte reference.
-const GRID: [(bool, Option<usize>); 6] = [
-    (false, Some(1)),
-    (false, Some(4)),
-    (false, None),
-    (true, Some(1)),
-    (true, Some(4)),
-    (true, None),
+const GRID: [(Planning, Option<usize>); 6] = [
+    (Planning::Off, Some(1)),
+    (Planning::Off, Some(4)),
+    (Planning::Off, None),
+    (Planning::On, Some(1)),
+    (Planning::On, Some(4)),
+    (Planning::On, None),
 ];
 
-fn parallelism(threads: Option<usize>) -> Parallelism {
-    match threads {
-        Some(n) => Parallelism::fixed(n),
-        None => Parallelism::auto(),
-    }
-}
-
 /// Run `render` over the whole grid and assert byte identity against
-/// the first (unplanned, sequential) cell. Restores the planning
-/// default before returning, panic or not is the caller's problem —
-/// the guard is re-armed per sweep.
-fn sweep_grid(ctx: &str, mut render: impl FnMut(Parallelism) -> String) {
-    let _guard = PLAN_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-    set_hardware_parallelism_override(Some(8));
+/// the first (unplanned, sequential) cell.
+fn sweep_grid(ctx: &str, mut render: impl FnMut(&ExecConfig) -> String) {
     let mut reference: Option<String> = None;
-    for (planned, threads) in GRID {
-        set_planning_override(Some(planned));
-        let rendered = render(parallelism(threads));
+    for (planning, threads) in GRID {
+        let exec = ExecConfig::auto()
+            .with_planning(planning)
+            .with_parallelism(threads.map_or_else(Parallelism::auto, Parallelism::fixed));
+        let rendered = render(&exec);
         match &reference {
             None => reference = Some(rendered),
             Some(r) => assert_eq!(
                 &rendered, r,
-                "{ctx}: planned={planned} × threads={threads:?} diverged"
+                "{ctx}: planning={planning:?} × threads={threads:?} diverged"
             ),
         }
     }
-    set_planning_override(None);
-    set_hardware_parallelism_override(None);
 }
 
 /// The 9-tgd join mapping of the bench sweep: every ordered pair of
@@ -128,14 +113,12 @@ fn standard_chase_and_core_are_plan_invariant() {
                 .unwrap();
             }
         }
-        sweep_grid(&format!("9-tgd chase, seed {seed}"), |par| {
+        sweep_grid(&format!("9-tgd chase, seed {seed}"), |exec| {
             let out = chase_with_options(
                 &m.tgds,
                 &i,
                 &m.target,
-                ChaseOptions {
-                    exec: ExecConfig::default().with_parallelism(par),
-                },
+                ChaseOptions::with_exec(exec.clone()),
             )
             .unwrap();
             format!("{}\n=== core ===\n{}", out.instance, core_of(&out.instance))
@@ -179,13 +162,13 @@ fn target_chase_is_plan_invariant() {
 }
 
 fn run_target_sweep(setting: &ExchangeSetting, source: &Instance, target: &Schema, ctx: &str) {
-    sweep_grid(ctx, |par| {
+    sweep_grid(ctx, |exec| {
         let (result, stats) = chase_with_target_deps_stats(
             setting,
             source,
             target,
             TargetChaseOptions {
-                exec: ExecConfig::default().with_parallelism(par),
+                exec: exec.clone(),
                 ..Default::default()
             },
         )
@@ -217,17 +200,21 @@ fn quasi_inverse_and_disjunctive_chase_are_plan_invariant() {
                 n_facts: 4,
             },
         );
-        sweep_grid(name, |par| {
-            let rev = quasi_inverse::core::quasi_inverse(&m, &Default::default()).unwrap();
+        sweep_grid(name, |exec| {
+            let options = QuasiInverseOptions {
+                exec: exec.clone(),
+                ..Default::default()
+            };
+            let rev = quasi_inverse::core::quasi_inverse(&m, &options).unwrap();
             let deps: Vec<String> = rev.deps.iter().map(|d| d.to_string()).collect();
-            let u = m.chase(&i).unwrap();
+            let u = m.clone().with_exec(exec.clone()).chase(&i).unwrap();
             let empty = Instance::new(m.source.clone());
             let outcome = disjunctive_chase_with_stats(
                 &rev.deps,
                 &u,
                 &empty,
                 DisjChaseOptions {
-                    exec: ExecConfig::default().with_parallelism(par),
+                    exec: exec.clone(),
                     ..Default::default()
                 },
             )

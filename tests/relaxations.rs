@@ -24,7 +24,9 @@ fn prop_3_7_inverse_is_every_relaxation() {
     let universe = closed_universe(&m);
     for rel1 in [Relation::Equality, Relation::SolutionEquiv] {
         for rel2 in [Relation::Equality, Relation::SolutionEquiv] {
-            let report = is_relaxed_inverse_bounded(&m, &rev, rel1, rel2, &universe).unwrap();
+            let report =
+                is_relaxed_inverse_bounded(&m, &rev, rel1, rel2, &universe, &Budget::unlimited())
+                    .unwrap();
             assert!(report.holds, "({rel1:?},{rel2:?}) fails");
         }
     }
@@ -37,8 +39,8 @@ fn prop_3_9_quasi_inverse_of_invertible_mapping_is_an_inverse() {
     let m = paper::copy();
     let qi = quasi_inverse::core::quasi_inverse(&m, &Default::default()).unwrap();
     let universe = closed_universe(&m);
-    let as_quasi = is_quasi_inverse_bounded(&m, &qi, &universe).unwrap();
-    let as_inverse = is_inverse_bounded(&m, &qi, &universe).unwrap();
+    let as_quasi = is_quasi_inverse_bounded(&m, &qi, &universe, &Budget::unlimited()).unwrap();
+    let as_inverse = is_inverse_bounded(&m, &qi, &universe, &Budget::unlimited()).unwrap();
     assert!(as_quasi.holds);
     assert!(as_inverse.holds, "Proposition 3.9");
 }
@@ -64,9 +66,15 @@ fn mixed_relaxations_interpolate_on_projection() {
     let m = paper::projection();
     let qi = quasi_inverse::core::quasi_inverse(&m, &Default::default()).unwrap();
     let universe = closed_universe(&m);
-    let strict =
-        is_relaxed_inverse_bounded(&m, &qi, Relation::Equality, Relation::Equality, &universe)
-            .unwrap();
+    let strict = is_relaxed_inverse_bounded(
+        &m,
+        &qi,
+        Relation::Equality,
+        Relation::Equality,
+        &universe,
+        &Budget::unlimited(),
+    )
+    .unwrap();
     assert!(!strict.holds);
     let mixed = is_relaxed_inverse_bounded(
         &m,
@@ -74,6 +82,7 @@ fn mixed_relaxations_interpolate_on_projection() {
         Relation::Equality,
         Relation::SolutionEquiv,
         &universe,
+        &Budget::unlimited(),
     )
     .unwrap();
     assert!(mixed.holds, "mismatches: {:?}", mixed.mismatches);
@@ -83,6 +92,7 @@ fn mixed_relaxations_interpolate_on_projection() {
         Relation::SolutionEquiv,
         Relation::SolutionEquiv,
         &universe,
+        &Budget::unlimited(),
     )
     .unwrap();
     assert!(loose.holds);

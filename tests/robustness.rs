@@ -51,10 +51,11 @@ fn old_inverse_becomes_a_quasi_inverse_of_the_augmented_mapping() {
     let inv_aug = reparse_reverse(&m_aug, &inv);
     let universe = closed_universe(&m_aug);
     // Not an inverse any more …
-    let inv_report = is_inverse_bounded(&m_aug, &inv_aug, &universe).unwrap();
+    let inv_report = is_inverse_bounded(&m_aug, &inv_aug, &universe, &Budget::unlimited()).unwrap();
     assert!(!inv_report.holds);
     // … but a quasi-inverse (the §1 claim).
-    let qi_report = is_quasi_inverse_bounded(&m_aug, &inv_aug, &universe).unwrap();
+    let qi_report =
+        is_quasi_inverse_bounded(&m_aug, &inv_aug, &universe, &Budget::unlimited()).unwrap();
     assert!(qi_report.holds, "mismatches: {:?}", qi_report.mismatches);
 }
 
@@ -67,7 +68,8 @@ fn quasi_inverse_survives_augmentation_of_non_invertible_mapping() {
     let m_aug = m.augment_source(&[("Extra", 1)]).unwrap();
     let rev_aug = reparse_reverse(&m_aug, &rev);
     let universe = closed_universe(&m_aug);
-    let report = is_quasi_inverse_bounded(&m_aug, &rev_aug, &universe).unwrap();
+    let report =
+        is_quasi_inverse_bounded(&m_aug, &rev_aug, &universe, &Budget::unlimited()).unwrap();
     assert!(report.holds, "mismatches: {:?}", report.mismatches);
 }
 

@@ -247,6 +247,101 @@ fn malformed_wire_input_yields_structured_errors_never_panics() {
     server.shutdown();
 }
 
+/// The error message of one response line.
+fn error_message(resp: &str) -> String {
+    let doc = parse(resp).expect("response is JSON");
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(false)), "{resp}");
+    let error = doc.get("error").expect("structured error");
+    error
+        .get("message")
+        .and_then(Json::as_str)
+        .expect("error.message")
+        .to_owned()
+}
+
+#[test]
+fn oversized_line_closes_its_session_and_spares_the_others() {
+    let server = start("127.0.0.1:0", |_| {}).expect("server binds");
+    let (mut flood, mut flood_reader) = connect(server.addr());
+    flood
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    // 9 MiB with no newline: past the 8 MiB cap, the server must close
+    // the session instead of buffering on. Writes after the close may
+    // fail; that is the point.
+    let chunk = vec![b'x'; 64 * 1024];
+    for _ in 0..144 {
+        if flood.write_all(&chunk).is_err() {
+            break;
+        }
+    }
+    let mut rest = Vec::new();
+    match flood_reader.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "no response to an oversized line"),
+        Err(e) => assert!(
+            !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "the oversized session must be closed, not left hanging"
+        ),
+    }
+    // Another client is still served.
+    let (mut stream, mut reader) = connect(server.addr());
+    let resp = roundtrip(&mut stream, &mut reader, r#"{"op":"list","id":"next"}"#);
+    let doc = parse(&resp).expect("list response is JSON");
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{resp}");
+    server.shutdown();
+}
+
+#[test]
+fn character_split_across_a_read_timeout_arrives_intact() {
+    let server = start("127.0.0.1:0", |_| {}).expect("server binds");
+    let (mut stream, mut reader) = connect(server.addr());
+    let line = "{\"op\":\"chase\",\"mapping\":\"m\u{e9}\",\"instance\":\"P(a)\"}\n";
+    let bytes = line.as_bytes();
+    // Split inside the two-byte `é`, and pause well past the server's
+    // read poll interval so the halves arrive in separate reads.
+    let split = line.find('\u{e9}').expect("the line has an é") + 1;
+    stream.write_all(&bytes[..split]).expect("first half");
+    stream.flush().expect("flush");
+    std::thread::sleep(Duration::from_millis(200));
+    stream.write_all(&bytes[split..]).expect("second half");
+    let mut resp = String::new();
+    reader.read_line(&mut resp).expect("response read");
+    let message = error_message(&resp);
+    assert!(
+        message.contains("`m\u{e9}`"),
+        "the name was mangled: {message}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn invalid_utf8_line_is_a_bad_request_and_the_session_continues() {
+    let server = start("127.0.0.1:0", |_| {}).expect("server binds");
+    let (mut stream, mut reader) = connect(server.addr());
+    stream
+        .write_all(b"{\"op\":\"li\xffst\"}\n")
+        .expect("request write");
+    let mut resp = String::new();
+    reader.read_line(&mut resp).expect("response read");
+    let doc = parse(&resp).expect("response is JSON");
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(false)), "{resp}");
+    assert_eq!(
+        doc.get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str),
+        Some("bad-request"),
+        "{resp}"
+    );
+    assert!(error_message(&resp).contains("UTF-8"), "{resp}");
+    let resp = roundtrip(&mut stream, &mut reader, r#"{"op":"list","id":"after"}"#);
+    let doc = parse(&resp).expect("list response is JSON");
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{resp}");
+    server.shutdown();
+}
+
 #[test]
 fn shutdown_request_drains_and_closes_the_listener() {
     let server = start("127.0.0.1:0", |_| {}).expect("server binds");

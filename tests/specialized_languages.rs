@@ -75,7 +75,7 @@ fn thm_4_7_disjunction_free_output_verifies_on_lav_mappings() {
         let Some(universe) = closed_universe(&m) else {
             continue;
         };
-        let report = is_quasi_inverse_bounded(&m, &rev, &universe).unwrap();
+        let report = is_quasi_inverse_bounded(&m, &rev, &universe, &Budget::unlimited()).unwrap();
         assert!(
             report.holds,
             "Thm 4.7 output fails Def 3.8 on {m}: {:?}",

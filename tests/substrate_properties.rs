@@ -172,7 +172,14 @@ fn target_chase_is_deterministic() {
 fn par_run_fans_out_and_preserves_order() {
     let jobs: Vec<u64> = (0..16).collect();
     for threads in [1usize, 2, 4, 8] {
-        let results = qi_exec::par_map(qi_exec::Parallelism::fixed(threads), &jobs, |&k| k * k);
+        let (results, _) = qi_exec::par_map(
+            qi_exec::Parallelism::fixed(threads),
+            &jobs,
+            &qi_exec::Budget::unlimited(),
+            qi_exec::CostHint::none(),
+            |&k| k * k,
+        )
+        .unwrap();
         assert_eq!(results, (0..16).map(|k| k * k).collect::<Vec<_>>());
     }
 }
